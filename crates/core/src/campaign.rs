@@ -234,7 +234,7 @@ impl Campaign {
                     .filter(|(_, ep)| ep.0 as usize != i)
                     .cloned()
                     .collect();
-                nc.agent = spec.agent.clone();
+                nc.agent = spec.agent.as_str().into();
                 nc.is_gateway = spec.gateway;
                 nc.conn_floor = match spec.segment {
                     netgen::Segment::NatClient | netgen::Segment::Ephemeral => {
@@ -312,7 +312,7 @@ impl Campaign {
         mon_cfg.max_dials_per_tick = 128;
         mon_cfg.connmgr_interval = Dur::from_mins(2);
         mon_cfg.refresh_interval = Dur::from_hours(1);
-        mon_cfg.agent = "monitor/1.0".to_string();
+        mon_cfg.agent = "monitor/1.0".into();
         let monitor = sim.add_node_in(
             EcoActor::Node(Box::new(IpfsNode::new(mon_cfg))),
             NodeSetup::public(Ipv4Addr::new(198, 18, 0, 1)),
@@ -380,7 +380,7 @@ impl Campaign {
         searcher_cfg.record_events = true;
         searcher_cfg.provide_on_fetch = false;
         searcher_cfg.reprovide_interval = Dur::ZERO;
-        searcher_cfg.agent = "record-searcher/1.0".to_string();
+        searcher_cfg.agent = "record-searcher/1.0".into();
         let searcher = sim.add_node_in(
             EcoActor::Node(Box::new(IpfsNode::new(searcher_cfg))),
             NodeSetup::public(Ipv4Addr::new(198, 18, 0, 4)),

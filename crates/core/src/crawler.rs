@@ -98,7 +98,8 @@ struct TargetState {
     crawlable: bool,
     done: bool,
     edges: Vec<PeerId>,
-    agent: String,
+    /// Agent from identify, shared with the message (`None` until then).
+    agent: Option<std::sync::Arc<str>>,
     observed_ip: Option<Ipv4Addr>,
 }
 
@@ -222,7 +223,7 @@ impl Crawler {
                 crawlable: false,
                 done: false,
                 edges: Vec::new(),
-                agent: String::new(),
+                agent: None,
                 observed_ip: None,
             },
         );
@@ -326,7 +327,7 @@ impl Crawler {
                 if let Some(peers) = self.by_endpoint.get(&from) {
                     if peers.contains(&id) {
                         if let Some(t) = self.targets.get_mut(&id) {
-                            t.agent = agent;
+                            t.agent = Some(agent);
                         }
                     }
                 }
@@ -410,7 +411,7 @@ impl Crawler {
             peers.push(CrawledPeer {
                 peer: *peer,
                 ips,
-                agent: t.agent.clone(),
+                agent: t.agent.as_deref().unwrap_or_default().to_string(),
                 crawlable: t.crawlable,
             });
             let mut seen_edge = HashSet::default();

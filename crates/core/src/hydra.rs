@@ -68,6 +68,8 @@ pub struct Hydra {
     cfg: HydraConfig,
     /// Virtual peer IDs.
     pub heads: Vec<PeerId>,
+    /// Agent string every identify shares.
+    agent: std::sync::Arc<str>,
     table: RoutingTable,
     cache: ProviderStore,
     lookups: HashMap<u64, Lookup>,
@@ -92,6 +94,7 @@ impl Hydra {
         let table = RoutingTable::new(heads[0].key(), TableConfig::default());
         Hydra {
             heads,
+            agent: "hydra-booster/0.7".into(),
             table,
             cache: ProviderStore::new(ProviderStoreConfig {
                 ttl: Dur::from_hours(24),
@@ -156,7 +159,7 @@ impl Hydra {
                 id: info.id,
                 addrs: kademlia::no_addrs(),
                 dht_server: true,
-                agent: "hydra-booster/0.7".to_string(),
+                agent: self.agent.clone(),
             },
         );
     }

@@ -18,6 +18,7 @@ use rand::seq::SliceRandom;
 use rand::RngExt;
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::net::SocketAddrV4;
+use std::sync::Arc;
 
 /// Timer token kinds (top 4 bits of the token).
 mod tok {
@@ -51,8 +52,9 @@ pub struct NodeConfig {
     /// Force DHT server (`Some(true)`), client (`Some(false)`), or decide
     /// from reachability like the real software (`None`).
     pub dht_server: Option<bool>,
-    /// Agent string reported via identify.
-    pub agent: String,
+    /// Agent string reported via identify (shared: every connection's
+    /// identify message and the receiver's peer record hold this one copy).
+    pub agent: Arc<str>,
     /// Bootstrap peers `(peer, endpoint)` dialled on every start.
     pub bootstrap: Vec<(PeerId, NodeId)>,
     /// Connection-manager low watermark (trim target).
@@ -109,7 +111,7 @@ impl NodeConfig {
         NodeConfig {
             identity_seed,
             dht_server: None,
-            agent: "go-ipfs/0.11".to_string(),
+            agent: "go-ipfs/0.11".into(),
             bootstrap: Vec::new(),
             conn_low: 600,
             conn_high: 900,
@@ -140,7 +142,7 @@ impl NodeConfig {
 struct RemotePeer {
     id: Option<PeerId>,
     server: bool,
-    agent: String,
+    agent: Option<Arc<str>>,
     relayed: bool,
 }
 
@@ -209,7 +211,18 @@ pub struct IpfsNode {
 
     // --- connection/session state (reset on stop) ---
     peers: HashMap<NodeId, RemotePeer>,
+    /// The identified neighbours, `peers.values().filter_map(|p| p.id)`
+    /// sorted — what phase 1 of a fetch broadcasts to. Built by the
+    /// session's first fetch and kept current from then on by
+    /// [`Self::neighbor_gained`] / [`Self::neighbor_lost`]; `None` before,
+    /// so a node that never fetches (the monitor and its thousands of
+    /// connections above all) pays nothing for a list only fetches read.
+    neighbors: Option<Vec<PeerId>>,
     conn_by_peer: HashMap<PeerId, NodeId>,
+    /// Two live endpoints identified as one id at some point this session.
+    /// Until that happens `conn_by_peer` leads from an identified id to
+    /// its one endpoint; afterwards [`Self::is_identified`] has to scan.
+    twin_ids: bool,
     dialing: HashMap<NodeId, Vec<PostDial>>,
     pending: HashMap<u64, PendingRpc>,
     next_req: u64,
@@ -255,7 +268,9 @@ impl IpfsNode {
             store: MemoryBlockstore::new(),
             published: Vec::new(),
             peers: HashMap::default(),
+            neighbors: None,
             conn_by_peer: HashMap::default(),
+            twin_ids: false,
             dialing: HashMap::default(),
             pending: HashMap::default(),
             next_req: 1,
@@ -317,7 +332,7 @@ impl IpfsNode {
         let mut v: Vec<(NodeId, PeerId, bool, &str)> = self
             .peers
             .iter()
-            .filter_map(|(ep, p)| p.id.map(|id| (*ep, id, p.server, p.agent.as_str())))
+            .filter_map(|(ep, p)| Some((*ep, p.id?, p.server, p.agent.as_deref()?)))
             .collect();
         v.sort_by_key(|(ep, ..)| *ep);
         v
@@ -427,7 +442,9 @@ impl IpfsNode {
         // Fresh session: routing table and connection state are in-memory.
         self.dht.reset_table();
         self.peers.clear();
+        self.neighbors = None;
         self.conn_by_peer.clear();
+        self.twin_ids = false;
         self.dialing.clear();
         self.pending.clear();
         self.ops.clear();
@@ -474,7 +491,7 @@ impl IpfsNode {
             if *ep == ctx.me() {
                 continue;
             }
-            self.dht.observe_peer(
+            let created = self.dht.observe_peer(
                 &PeerInfo {
                     id: *peer,
                     addrs: no_addrs(),
@@ -483,6 +500,7 @@ impl IpfsNode {
                 true,
                 ctx.now(),
             );
+            self.flag_created_entry(created, peer);
             self.ensure_dial(ctx, *ep, None);
         }
         // Self-lookup fills nearby buckets and announces us to the network.
@@ -496,6 +514,76 @@ impl IpfsNode {
     // ------------------------------------------------------------------
     // Connections
     // ------------------------------------------------------------------
+
+    /// Whether some connection is identified as `id` — the definition of
+    /// the routing table's `connected` column.
+    fn is_identified(&self, id: &PeerId) -> bool {
+        if self.twin_ids {
+            return self.peers.values().any(|p| p.id == Some(*id));
+        }
+        self.conn_by_peer
+            .get(id)
+            .and_then(|ep| self.peers.get(ep))
+            .is_some_and(|p| p.id == Some(*id))
+    }
+
+    /// Endpoint `ep` now identifies as `id` (`peers` already says so, the
+    /// caller flags the table entry); `conn_by_peer` led from `id` to
+    /// `prev_ep` until just now.
+    fn neighbor_gained(&mut self, ep: NodeId, id: PeerId, prev_ep: Option<NodeId>) {
+        self.twin_ids |= prev_ep.is_some_and(|prev| {
+            prev != ep && self.peers.get(&prev).is_some_and(|p| p.id == Some(id))
+        });
+        if let Some(list) = &mut self.neighbors {
+            let at = list.partition_point(|n| *n < id);
+            list.insert(at, id);
+        }
+    }
+
+    /// An endpoint that identified as `id` closed, restarted its handshake
+    /// or identified as someone else (`peers` already says so).
+    fn neighbor_lost(&mut self, id: PeerId) {
+        if let Some(list) = &mut self.neighbors {
+            let at = list.partition_point(|n| *n < id);
+            debug_assert_eq!(list.get(at), Some(&id));
+            list.remove(at);
+        }
+        if !self.is_identified(&id) {
+            self.dht.table_mut().set_connected(&id, false);
+        }
+    }
+
+    /// The table just created an entry for `id` (`created`, as reported by
+    /// the DHT): flag it if `id` is an identified neighbour already.
+    fn flag_created_entry(&mut self, created: bool, id: &PeerId) {
+        if created && self.is_identified(id) {
+            self.dht.table_mut().set_connected(id, true);
+        }
+    }
+
+    /// Assert the routing table's `connected` column against its
+    /// definition — "some connection is identified as this peer" — for
+    /// every entry.
+    #[cfg(any(test, debug_assertions))]
+    pub fn assert_connected_flags(&self) {
+        for e in self.dht.table().entries() {
+            let truth = self.peers.values().any(|p| p.id == Some(e.info.id));
+            assert_eq!(
+                e.connected, truth,
+                "connected flag of {:?} out of sync at {:?}",
+                e.info.id, self.id
+            );
+        }
+        if let Some(list) = &self.neighbors {
+            assert_eq!(*list, self.sorted_neighbors(), "neighbour list out of sync");
+        }
+    }
+
+    fn sorted_neighbors(&self) -> Vec<PeerId> {
+        let mut ids: Vec<PeerId> = self.peers.values().filter_map(|p| p.id).collect();
+        ids.sort();
+        ids
+    }
 
     fn ensure_dial<C: std::fmt::Debug>(
         &mut self,
@@ -553,15 +641,18 @@ impl IpfsNode {
         from: NodeId,
         relayed: bool,
     ) {
-        self.peers.insert(
+        let old = self.peers.insert(
             from,
             RemotePeer {
                 id: None,
                 server: false,
-                agent: String::new(),
+                agent: None,
                 relayed,
             },
         );
+        if let Some(id) = old.and_then(|p| p.id) {
+            self.neighbor_lost(id);
+        }
         self.send_identify(ctx, from);
     }
 
@@ -578,7 +669,7 @@ impl IpfsNode {
             self.peers.entry(target).or_insert(RemotePeer {
                 id: None,
                 server: false,
-                agent: String::new(),
+                agent: None,
                 relayed,
             });
             self.send_identify(ctx, target);
@@ -677,6 +768,7 @@ impl IpfsNode {
     ) {
         if let Some(p) = self.peers.remove(&peer) {
             if let Some(id) = p.id {
+                self.neighbor_lost(id);
                 self.conn_by_peer.remove(&id);
                 self.bitswap.peer_disconnected(&id);
             }
@@ -1031,9 +1123,11 @@ impl IpfsNode {
         );
         self.fetch_by_cid.insert(cid, op_id);
         // Phase 1: 1-hop Bitswap broadcast to identified neighbours.
-        let mut neighbors: Vec<PeerId> = self.peers.values().filter_map(|p| p.id).collect();
-        neighbors.sort();
-        let out = self.bitswap.start_fetch(cid, &neighbors, ctx.now());
+        if self.neighbors.is_none() {
+            self.neighbors = Some(self.sorted_neighbors());
+        }
+        let neighbors = self.neighbors.as_deref().expect("built above");
+        let out = self.bitswap.start_fetch(cid, neighbors, ctx.now());
         self.flush_bitswap(ctx, out);
         self.set_timer(ctx, self.cfg.bitswap_phase_timeout, tok::FETCH_BS, op_id);
         self.set_timer(ctx, self.cfg.fetch_timeout, tok::FETCH_ALL, op_id);
@@ -1134,16 +1228,16 @@ impl IpfsNode {
                 dht_server,
                 agent,
             } => {
-                self.peers.insert(
+                let old = self.peers.insert(
                     from,
                     RemotePeer {
                         id: Some(id),
                         server: dht_server,
-                        agent,
+                        agent: Some(agent),
                         relayed: ctx.is_relayed(from),
                     },
                 );
-                self.conn_by_peer.insert(id, from);
+                let prev_ep = self.conn_by_peer.insert(id, from);
                 self.dht.observe_peer(
                     &PeerInfo {
                         id,
@@ -1153,6 +1247,15 @@ impl IpfsNode {
                     dht_server,
                     ctx.now(),
                 );
+                let old_id = old.and_then(|p| p.id);
+                if old_id != Some(id) {
+                    if let Some(old_id) = old_id {
+                        self.neighbor_lost(old_id);
+                    }
+                    self.neighbor_gained(from, id, prev_ep);
+                }
+                // After the table saw the peer: a fresh entry starts unflagged.
+                self.dht.table_mut().set_connected(&id, true);
             }
             WireMsg::Dht(m) => self.handle_dht(ctx, from, m),
             WireMsg::Bitswap { from: peer, msg } => {
@@ -1235,9 +1338,10 @@ impl IpfsNode {
         match msg.body {
             DhtBody::Request(req) => {
                 self.dht_requests_served += 1;
-                let resp =
+                let (resp, created) =
                     self.dht
                         .handle_request(ctx.now(), &msg.sender, msg.sender_is_server, &req);
+                self.flag_created_entry(created, &msg.sender.id);
                 if let Some(body) = resp {
                     let reply = DhtMessage {
                         req_id: msg.req_id,
@@ -1253,17 +1357,15 @@ impl IpfsNode {
                     return; // late or unsolicited
                 };
                 let lookup = rpc.lookup;
-                match resp {
-                    DhtResponse::Nodes { closer } => {
-                        self.dht
-                            .lookup_response(lookup, &rpc.peer, closer, vec![], ctx.now());
-                    }
-                    DhtResponse::Providers { providers, closer } => {
-                        self.dht
-                            .lookup_response(lookup, &rpc.peer, closer, providers, ctx.now());
-                    }
-                    DhtResponse::Pong => {}
-                }
+                let (closer, providers) = match resp {
+                    DhtResponse::Nodes { closer } => (closer, vec![]),
+                    DhtResponse::Providers { providers, closer } => (closer, providers),
+                    DhtResponse::Pong => return self.drive_lookup(ctx, lookup),
+                };
+                let created =
+                    self.dht
+                        .lookup_response(lookup, &rpc.peer, closer, providers, ctx.now());
+                self.flag_created_entry(created, &rpc.peer.id);
                 self.drive_lookup(ctx, lookup);
             }
         }
@@ -1374,17 +1476,13 @@ impl IpfsNode {
         for p in &stale {
             self.bitswap.forget_peer(p);
         }
+        #[cfg(debug_assertions)]
+        self.assert_connected_flags();
         if self.cfg.table_entry_ttl > Dur::ZERO {
-            // Live connections count as usefulness: refresh their entries
-            // before pruning (go-ipfs v0.11 kept connected peers in the
-            // table unconditionally).
-            let connected: Vec<PeerId> = self.peers.values().filter_map(|p| p.id).collect();
-            let now = ctx.now();
-            for id in connected {
-                self.dht.table_mut().touch(&id, now);
-            }
+            // Entries of identified neighbours carry the `connected` flag
+            // and are refreshed, not pruned.
             let ttl = self.cfg.table_entry_ttl;
-            self.dht.table_mut().prune_stale(now, ttl);
+            self.dht.table_mut().prune_stale(ctx.now(), ttl);
         }
         // Common case: the connection count sits between floor and high
         // watermark and the tick touches nothing — keep that path

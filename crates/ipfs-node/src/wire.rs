@@ -23,8 +23,9 @@ pub enum WireMsg {
         /// Whether the sender is a DHT server.
         dht_server: bool,
         /// Agent string (`go-ipfs/0.11`, `hydra-booster/0.7`, …) — the
-        /// crawler records it, like the real one does.
-        agent: String,
+        /// crawler records it, like the real one does. Shared with the
+        /// sender's configuration: an identify costs no allocation.
+        agent: std::sync::Arc<str>,
     },
     /// A DHT RPC (request or response).
     Dht(DhtMessage),

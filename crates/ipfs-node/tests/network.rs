@@ -1,7 +1,7 @@
 //! End-to-end protocol tests on small simulated networks.
 
-use ipfs_node::{IpfsNode, NodeActor, NodeCmd, NodeConfig, NodeEvent};
-use ipfs_types::Cid;
+use ipfs_node::{IpfsNode, NodeActor, NodeCmd, NodeConfig, NodeEvent, WireMsg};
+use ipfs_types::{Cid, PeerId};
 use simnet::{Dur, LatencyModel, NodeId, NodeSetup, Sim, SimConfig};
 use std::net::Ipv4Addr;
 
@@ -494,4 +494,396 @@ fn connection_manager_trims_to_watermarks() {
         max_conns <= 14,
         "connection manager not trimming: {max_conns}"
     );
+}
+
+// ----------------------------------------------------------------------
+// The routing table's `connected` column: equal to "some connection is
+// identified as this peer" for every entry, wherever that fact or the
+// entry set changes.
+// ----------------------------------------------------------------------
+
+/// `IpfsNode::assert_connected_flags` (compiled with debug assertions
+/// only; release test runs keep the explicit flag assertions below).
+fn check_flags(node: &IpfsNode) {
+    #[cfg(debug_assertions)]
+    node.assert_connected_flags();
+    #[cfg(not(debug_assertions))]
+    let _ = node;
+}
+
+fn flagged_entries(node: &IpfsNode) -> usize {
+    node.dht().table().entries().filter(|e| e.connected).count()
+}
+
+#[test]
+fn connected_flags_follow_churn_and_session_restart() {
+    let cfg = SimConfig {
+        dial_timeout: Dur::from_secs(5),
+        ..Default::default()
+    };
+    let mut sim: Sim<NodeActor> =
+        Sim::new(cfg, LatencyModel::uniform(Dur::from_millis(30), 0.3), 21);
+    let boot_peer = ipfs_types::Keypair::from_seed(1_000_000).peer_id();
+    let mut ids = Vec::new();
+    for i in 0..20u32 {
+        let mut nc = NodeConfig::regular(if i == 0 { 1_000_000 } else { i as u64 });
+        // Prune often and early, so that only the flag keeps entries alive.
+        nc.connmgr_interval = Dur::from_mins(1);
+        nc.table_entry_ttl = Dur::from_mins(3);
+        nc.refresh_interval = Dur::ZERO;
+        if i > 0 {
+            nc.bootstrap = vec![(boot_peer, NodeId(0))];
+        }
+        ids.push(sim.add_node(NodeActor(IpfsNode::new(nc)), NodeSetup::public(ip(i))));
+    }
+    let victim = ids[10];
+    let victim_id = sim.actor(victim).0.peer_id();
+    let check_all = |sim: &Sim<NodeActor>| {
+        for &id in &ids {
+            if sim.core().is_online(id) {
+                check_flags(&sim.actor(id).0);
+            }
+        }
+    };
+    // Step in half-minute slices so the checker also runs between ticks.
+    let run = |sim: &mut Sim<NodeActor>, mins: u64| {
+        for _ in 0..mins * 2 {
+            sim.run_for(Dur::from_secs(30));
+            check_all(sim);
+        }
+    };
+    run(&mut sim, 12);
+    // Nobody has spoken for many TTLs; the entries of connected peers are
+    // all that is left, and they are still there.
+    let boot = &sim.actor(ids[0]).0;
+    assert!(flagged_entries(boot) >= 10, "{}", flagged_entries(boot));
+    assert_eq!(flagged_entries(boot), boot.dht().table().len());
+    assert!(boot.dht().table().get(&victim_id).unwrap().connected);
+
+    sim.schedule_down(sim.core().now() + Dur::from_secs(1), victim);
+    run(&mut sim, 1);
+    let entry = sim.actor(ids[0]).0.dht().table().get(&victim_id).cloned();
+    assert!(
+        !entry.is_some_and(|e| e.connected),
+        "flag outlived the peer"
+    );
+    run(&mut sim, 4);
+    assert!(
+        sim.actor(ids[0]).0.dht().table().get(&victim_id).is_none(),
+        "unflagged silent entry was not pruned"
+    );
+
+    // Session restart: fresh table and connection state on the victim,
+    // a fresh connection (same id, new address) everywhere else.
+    let new_addr = std::net::SocketAddrV4::new(ip(10_000), 4001);
+    sim.schedule_up(sim.core().now() + Dur::from_secs(5), victim, Some(new_addr));
+    run(&mut sim, 8);
+    assert!(
+        sim.actor(ids[0])
+            .0
+            .dht()
+            .table()
+            .get(&victim_id)
+            .unwrap()
+            .connected
+    );
+    assert!(flagged_entries(&sim.actor(victim).0) > 5);
+}
+
+#[test]
+fn connected_flags_follow_identity_adoption_of_a_live_neighbour() {
+    let (mut sim, ids) = build_network(10, 22);
+    sim.run_for(Dur::from_mins(3));
+    let old = sim.actor(ids[4]).0.peer_id();
+    assert!(
+        sim.actor(ids[0])
+            .0
+            .dht()
+            .table()
+            .get(&old)
+            .unwrap()
+            .connected
+    );
+    sim.schedule_command(
+        sim.core().now(),
+        ids[4],
+        NodeCmd::AdoptIdentity { seed: 999_999 },
+    );
+    for _ in 0..12 {
+        sim.run_for(Dur::from_secs(15));
+        for &id in &ids {
+            check_flags(&sim.actor(id).0);
+        }
+    }
+    let new = sim.actor(ids[4]).0.peer_id();
+    let table = sim.actor(ids[0]).0.dht().table();
+    // The old identity's entry lingers until pruned, but is not connected;
+    // the same endpoint's new identity is.
+    assert!(!table.get(&old).is_some_and(|e| e.connected));
+    assert!(table.get(&new).unwrap().connected);
+}
+
+/// One real node under test (endpoint 0) among scripted endpoints that
+/// dial, say and hang up exactly what a test tells them to.
+enum Scripted {
+    Node(Box<IpfsNode>),
+    Puppet,
+}
+
+#[derive(Debug)]
+enum Script {
+    Node(NodeCmd),
+    Dial(NodeId),
+    Say(NodeId, WireMsg),
+    HangUp(NodeId),
+}
+
+impl simnet::Actor for Scripted {
+    type Msg = WireMsg;
+    type Cmd = Script;
+
+    fn on_start(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>) {
+        if let Scripted::Node(n) = self {
+            n.handle_start(ctx);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, from: NodeId, m: WireMsg) {
+        if let Scripted::Node(n) = self {
+            n.handle_message(ctx, from, m);
+        }
+    }
+    fn on_command(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, cmd: Script) {
+        match (self, cmd) {
+            (Scripted::Node(n), Script::Node(cmd)) => n.handle_command(ctx, cmd),
+            (Scripted::Puppet, Script::Dial(to)) => ctx.dial(to),
+            (Scripted::Puppet, Script::Say(to, msg)) => {
+                assert!(ctx.send(to, msg), "puppet not connected to {to:?}");
+            }
+            (Scripted::Puppet, Script::HangUp(peer)) => ctx.disconnect(peer),
+            (_, cmd) => panic!("misaddressed {cmd:?}"),
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, token: u64) {
+        if let Scripted::Node(n) = self {
+            n.handle_timer(ctx, token);
+        }
+    }
+    fn on_inbound_connection(
+        &mut self,
+        ctx: &mut simnet::Ctx<'_, WireMsg, Script>,
+        from: NodeId,
+        relayed: bool,
+    ) {
+        if let Scripted::Node(n) = self {
+            n.handle_inbound(ctx, from, relayed);
+        }
+    }
+    fn on_dial_result(
+        &mut self,
+        ctx: &mut simnet::Ctx<'_, WireMsg, Script>,
+        target: NodeId,
+        ok: bool,
+        relayed: bool,
+    ) {
+        if let Scripted::Node(n) = self {
+            n.handle_dial_result(ctx, target, ok, relayed);
+        }
+    }
+    fn on_connection_closed(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, peer: NodeId) {
+        if let Scripted::Node(n) = self {
+            n.handle_connection_closed(ctx, peer);
+        }
+    }
+}
+
+/// The scripted harness: node 0 is the real node, 1..=puppets are puppets
+/// already connected to it (not yet identified).
+struct Stage {
+    sim: Sim<Scripted>,
+}
+
+const NODE: NodeId = NodeId(0);
+
+impl Stage {
+    fn new(puppets: u32, tune: impl FnOnce(&mut NodeConfig)) -> Stage {
+        let mut sim: Sim<Scripted> = Sim::new(
+            SimConfig::default(),
+            LatencyModel::uniform(Dur::from_millis(20), 0.0),
+            5,
+        );
+        let mut nc = NodeConfig::regular(0);
+        nc.connmgr_interval = Dur::from_mins(1);
+        nc.refresh_interval = Dur::ZERO;
+        nc.reprovide_interval = Dur::ZERO;
+        tune(&mut nc);
+        sim.add_node(
+            Scripted::Node(Box::new(IpfsNode::new(nc))),
+            NodeSetup::public(ip(0)),
+        );
+        let mut stage = Stage { sim };
+        for i in 1..=puppets {
+            let p = stage
+                .sim
+                .add_node(Scripted::Puppet, NodeSetup::public(ip(i)));
+            stage.tell(p, Script::Dial(NODE));
+        }
+        stage
+    }
+
+    /// Run one command and let its consequences settle.
+    fn tell(&mut self, who: NodeId, cmd: Script) {
+        self.sim.schedule_command(self.sim.core().now(), who, cmd);
+        self.sim.run_for(Dur::from_secs(1));
+        check_flags(self.node());
+    }
+
+    fn node(&self) -> &IpfsNode {
+        match self.sim.actor(NODE) {
+            Scripted::Node(n) => n,
+            Scripted::Puppet => unreachable!("endpoint 0 is the node"),
+        }
+    }
+
+    fn identify(&mut self, puppet: NodeId, id: PeerId) {
+        let msg = WireMsg::Identify {
+            id,
+            addrs: kademlia::no_addrs(),
+            dht_server: true,
+            agent: "puppet/1.0".into(),
+        };
+        self.tell(puppet, Script::Say(NODE, msg));
+    }
+
+    /// A DHT ping from `puppet` speaking as server `id`.
+    fn ping_as(&mut self, puppet: NodeId, id: PeerId) {
+        let msg = WireMsg::Dht(kademlia::DhtMessage {
+            req_id: 1,
+            sender: kademlia::PeerInfo {
+                id,
+                addrs: kademlia::no_addrs(),
+                endpoint: puppet,
+            },
+            sender_is_server: true,
+            body: kademlia::DhtBody::Request(kademlia::DhtRequest::Ping),
+        });
+        self.tell(puppet, Script::Say(NODE, msg));
+    }
+
+    /// `Some(flag)` of `id`'s table entry, `None` without one.
+    fn flag(&self, id: PeerId) -> Option<bool> {
+        self.node().dht().table().get(&id).map(|e| e.connected)
+    }
+}
+
+#[test]
+fn hydra_endpoint_speaking_as_several_heads_flags_only_the_identified_one() {
+    let mut st = Stage::new(1, |_| {});
+    let p = NodeId(1);
+    let heads: Vec<PeerId> = (100..103).map(PeerId::from_seed).collect();
+    st.identify(p, heads[0]);
+    // The other heads answer DHT traffic over the same connection: they
+    // enter the table, but no connection is identified as them.
+    st.ping_as(p, heads[1]);
+    st.ping_as(p, heads[2]);
+    assert_eq!(st.flag(heads[0]), Some(true));
+    assert_eq!(st.flag(heads[1]), Some(false));
+    assert_eq!(st.flag(heads[2]), Some(false));
+    // The endpoint identifies again, as another head.
+    st.identify(p, heads[1]);
+    assert_eq!(st.flag(heads[0]), Some(false));
+    assert_eq!(st.flag(heads[1]), Some(true));
+    // ... and once more as the same one (nothing changes).
+    st.identify(p, heads[1]);
+    assert_eq!(st.flag(heads[1]), Some(true));
+    st.tell(p, Script::HangUp(NODE));
+    assert_eq!(st.flag(heads[1]), Some(false));
+    assert_eq!(flagged_entries(st.node()), 0);
+}
+
+#[test]
+fn one_id_on_several_endpoints_stays_flagged_until_the_last_one_closes() {
+    let mut st = Stage::new(3, |_| {});
+    let id = PeerId::from_seed(100);
+    for p in 1..=3 {
+        st.identify(NodeId(p), id);
+        assert_eq!(st.flag(id), Some(true));
+    }
+    // Closing in identify order drops `conn_by_peer`'s pointer first.
+    st.tell(NodeId(3), Script::HangUp(NODE));
+    assert_eq!(st.flag(id), Some(true));
+    st.tell(NodeId(1), Script::HangUp(NODE));
+    assert_eq!(st.flag(id), Some(true));
+    // A fetch builds the neighbour list mid-session (one twin left).
+    st.tell(
+        NODE,
+        Script::Node(NodeCmd::Fetch {
+            cid: Cid::from_seed(1),
+        }),
+    );
+    st.tell(NodeId(2), Script::HangUp(NODE));
+    assert_eq!(st.flag(id), Some(false));
+}
+
+/// `n` peer ids whose first key bit differs from node 0's: they all
+/// compete for bucket 0.
+fn far_seeds(n: usize) -> Vec<PeerId> {
+    let local = ipfs_types::Keypair::from_seed(0).peer_id().key();
+    (100u64..)
+        .map(PeerId::from_seed)
+        .filter(|id| local.common_prefix_len(&id.key()) == 0)
+        .take(n)
+        .collect()
+}
+
+#[test]
+fn peer_rejected_by_a_full_bucket_is_flagged_when_it_gets_in_later() {
+    // Two slots per bucket; pruning disabled until the test wants it.
+    let mut st = Stage::new(3, |nc| {
+        nc.dht.table.k = 2;
+        nc.table_entry_ttl = Dur::from_mins(10);
+    });
+    let ids = far_seeds(3);
+    st.identify(NodeId(1), ids[0]);
+    st.identify(NodeId(2), ids[1]);
+    st.identify(NodeId(3), ids[2]);
+    assert_eq!(st.flag(ids[0]), Some(true));
+    assert_eq!(st.flag(ids[1]), Some(true));
+    assert_eq!(st.flag(ids[2]), None, "bucket 0 holds two fresh entries");
+    // The first peer leaves; its entry ages out at a connection-manager
+    // tick. The second stays silent just as long and is kept by its flag.
+    st.tell(NodeId(1), Script::HangUp(NODE));
+    assert_eq!(st.flag(ids[0]), Some(false));
+    st.sim.run_for(Dur::from_mins(12));
+    check_flags(st.node());
+    assert_eq!(st.flag(ids[0]), None);
+    assert_eq!(st.flag(ids[1]), Some(true));
+    // The third peer, connected and identified all along, speaks: the
+    // table creates its entry now, and it must come out flagged.
+    st.ping_as(NodeId(3), ids[2]);
+    assert_eq!(st.flag(ids[2]), Some(true));
+    st.sim.run_for(Dur::from_mins(12));
+    assert_eq!(st.flag(ids[2]), Some(true), "pruned despite its connection");
+}
+
+#[test]
+fn peer_dropped_by_a_failed_query_is_flagged_when_it_comes_back() {
+    let mut st = Stage::new(1, |_| {});
+    let p = NodeId(1);
+    let id = PeerId::from_seed(100);
+    st.identify(p, id);
+    assert_eq!(st.flag(id), Some(true));
+    // The node walks the DHT; its only peer never answers, the RPC times
+    // out, and `lookup_failure` drops the entry — the connection stays.
+    st.tell(
+        NODE,
+        Script::Node(NodeCmd::Provide {
+            cid: Cid::from_seed(1),
+        }),
+    );
+    st.sim.run_for(Dur::from_secs(15));
+    check_flags(st.node());
+    assert_eq!(st.flag(id), None, "unanswered query should evict");
+    assert!(st.sim.core().connected(NODE, p));
+    st.ping_as(p, id);
+    assert_eq!(st.flag(id), Some(true));
 }

@@ -9,7 +9,7 @@
 use crate::lookup::{Lookup, LookupConfig, LookupKind, LookupResult};
 use crate::messages::{DhtRequest, DhtResponse, PeerInfo, ProviderRecord};
 use crate::providers::{ProviderStore, ProviderStoreConfig};
-use crate::table::{RoutingTable, TableConfig};
+use crate::table::{Observed, RoutingTable, TableConfig};
 use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, Key256, PeerId};
 use simnet::SimTime;
@@ -105,7 +105,7 @@ impl Dht {
         &self.table
     }
 
-    /// Mutable routing table (bootstrap injection).
+    /// Mutable routing table (the owner's `connected` column, pruning).
     pub fn table_mut(&mut self) -> &mut RoutingTable {
         &mut self.table
     }
@@ -122,11 +122,11 @@ impl Dht {
 
     /// Note that we heard from `info` (connection setup, any RPC). Only DHT
     /// *servers* enter the routing table. Clones only when the table entry
-    /// is new or its contact info changed.
-    pub fn observe_peer(&mut self, info: &PeerInfo, is_server: bool, now: SimTime) {
-        if is_server && info.id != self.local {
-            self.table.observe(info, now);
-        }
+    /// is new or its contact info changed. Returns whether the table
+    /// *created* an entry: new entries start with `connected` unset, and
+    /// the caller owns that fact (see [`crate::table`]).
+    pub fn observe_peer(&mut self, info: &PeerInfo, is_server: bool, now: SimTime) -> bool {
+        is_server && info.id != self.local && self.table.observe(info, now) == Observed::Created
     }
 
     /// Drop a peer that failed liveness (dial failure / timeout).
@@ -134,27 +134,29 @@ impl Dht {
         self.table.remove(id);
     }
 
-    /// Serve an incoming request. Returns `None` when no response is due
-    /// (client mode, or `AddProvider` which has no reply).
+    /// Serve an incoming request. The response is `None` when none is due
+    /// (client mode, or `AddProvider` which has no reply); the flag is
+    /// [`Self::observe_peer`]'s for the sender.
     pub fn handle_request(
         &mut self,
         now: SimTime,
         sender: &PeerInfo,
         sender_is_server: bool,
         req: &DhtRequest,
-    ) -> Option<DhtResponse> {
+    ) -> (Option<DhtResponse>, bool) {
         if self.cfg.mode == DhtMode::Client {
-            return None;
+            return (None, false);
         }
-        self.observe_peer(sender, sender_is_server, now);
-        match req {
+        let created = self.observe_peer(sender, sender_is_server, now);
+        let k = self.cfg.lookup.k;
+        let response = match req {
             DhtRequest::Ping => Some(DhtResponse::Pong),
             DhtRequest::FindNode { target } => Some(DhtResponse::Nodes {
-                closer: self.closest_excluding(target, sender),
+                closer: self.table.closest_excluding(target, k, &sender.id),
             }),
             DhtRequest::GetProviders { cid } => {
                 let providers = self.providers.get(cid, now);
-                let closer = self.closest_excluding(&cid.dht_key(), sender);
+                let closer = self.table.closest_excluding(&cid.dht_key(), k, &sender.id);
                 Some(DhtResponse::Providers { providers, closer })
             }
             DhtRequest::AddProvider { record } => {
@@ -165,16 +167,8 @@ impl Dht {
                 }
                 None
             }
-        }
-    }
-
-    fn closest_excluding(&self, target: &Key256, sender: &PeerInfo) -> Vec<PeerInfo> {
-        self.table
-            .closest(target, self.cfg.lookup.k + 1)
-            .into_iter()
-            .filter(|p| p.id != sender.id)
-            .take(self.cfg.lookup.k)
-            .collect()
+        };
+        (response, created)
     }
 
     /// Begin an iterative lookup seeded from the routing table. Returns the
@@ -196,8 +190,9 @@ impl Dht {
             .unwrap_or_default()
     }
 
-    /// Feed a response into a lookup; newly learned peers also feed the
-    /// routing table (responders are servers by construction).
+    /// Feed a response into a lookup; the responder also feeds the routing
+    /// table (responders are servers by construction). Returns
+    /// [`Self::observe_peer`]'s flag for `from`.
     pub fn lookup_response(
         &mut self,
         id: u64,
@@ -205,11 +200,12 @@ impl Dht {
         closer: Vec<PeerInfo>,
         providers: Vec<ProviderRecord>,
         now: SimTime,
-    ) {
-        self.observe_peer(from, true, now);
+    ) -> bool {
+        let created = self.observe_peer(from, true, now);
         if let Some(l) = self.lookups.get_mut(&id) {
             l.on_response(&from.id, closer, providers);
         }
+        created
     }
 
     /// Feed a failure into a lookup and drop the peer from the table.
@@ -300,11 +296,12 @@ mod tests {
         let req = DhtRequest::Ping;
         assert!(matches!(
             server.handle_request(SimTime::ZERO, &info(2), true, &req),
-            Some(DhtResponse::Pong)
+            (Some(DhtResponse::Pong), true)
         ));
-        assert!(client
-            .handle_request(SimTime::ZERO, &info(2), true, &req)
-            .is_none());
+        assert_eq!(
+            client.handle_request(SimTime::ZERO, &info(2), true, &req),
+            (None, false)
+        );
     }
 
     #[test]
@@ -324,7 +321,7 @@ mod tests {
         }
         let sender = info(5);
         let target = PeerId::from_seed(5).key();
-        let Some(DhtResponse::Nodes { closer }) = d.handle_request(
+        let (Some(DhtResponse::Nodes { closer }), false) = d.handle_request(
             SimTime::ZERO,
             &sender,
             true,
@@ -380,7 +377,7 @@ mod tests {
                 record: rec(cid, 7),
             },
         );
-        let Some(DhtResponse::Providers { providers, closer }) = d.handle_request(
+        let (Some(DhtResponse::Providers { providers, closer }), _) = d.handle_request(
             SimTime::ZERO,
             &info(3),
             true,

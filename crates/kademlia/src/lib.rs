@@ -23,4 +23,4 @@ pub use messages::{
     TrafficClass,
 };
 pub use providers::{ProviderStore, ProviderStoreConfig};
-pub use table::{Bucket, Entry, RoutingTable, TableConfig};
+pub use table::{Bucket, Entry, Observed, RoutingTable, TableConfig};

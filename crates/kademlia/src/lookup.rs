@@ -178,25 +178,29 @@ impl Lookup {
         if self.done {
             return Vec::new();
         }
-        let mut out = Vec::new();
         // Query the closest not-contacted candidates, but never beyond the
         // frontier that termination cares about (the k closest alive set
         // plus anything closer than its worst member is implicitly covered
         // by scanning in distance order).
         let budget = self.cfg.alpha.saturating_sub(self.in_flight);
         if budget == 0 {
-            return out;
+            return Vec::new();
         }
-        let mut picked = Vec::new();
+        let mut out = Vec::new();
         // `useful` counts non-failed candidates strictly closer than the one
         // under inspection — a running tally instead of a rescan per step.
         let mut useful = 0;
-        for (i, (_, c)) in self.candidates.iter().enumerate() {
+        for (_, c) in self.candidates.iter_mut() {
             if out.len() >= budget {
                 break;
             }
             if c.state == CandState::NotContacted {
-                picked.push(i);
+                c.state = CandState::Waiting;
+                if out.is_empty() {
+                    // One allocation for the whole batch, none for an
+                    // exhausted frontier.
+                    out.reserve_exact(budget);
+                }
                 out.push(c.info.clone());
             }
             // Do not walk past the k-th useful candidate: if we already have
@@ -209,11 +213,8 @@ impl Lookup {
                 useful += 1;
             }
         }
-        for i in picked {
-            self.candidates[i].1.state = CandState::Waiting;
-            self.in_flight += 1;
-            self.contacted += 1;
-        }
+        self.in_flight += out.len();
+        self.contacted += out.len();
         self.update_done();
         out
     }

@@ -17,9 +17,46 @@
 //! indirections from every `FIND_NODE` scan and keeps each node's routing
 //! state in a handful of cache-linear blocks. Slots past `lens[i]` hold
 //! recycled placeholder entries and are never observable through the API.
+//!
+//! An [`Entry`] is 72 bytes: the 56-byte [`PeerInfo`] (32-byte id, shared
+//! address list, endpoint), `last_seen`, and the one-byte `connected` column
+//! in what would otherwise be padding.
+//!
+//! ## Connection liveness is a column, not a scan
+//!
+//! A live connection counts as usefulness: a connected peer's entry must
+//! survive [`RoutingTable::prune_stale`] however long it stayed silent. The
+//! table cannot know who is connected, and asking per tick is the expensive
+//! direction — a monitor holds thousands of connections against a few
+//! hundred entries, so "refresh every connected peer" is thousands of
+//! missed bucket scans per tick. Instead the owner of the connection state
+//! (`ipfs-node`'s `IpfsNode`) keeps `Entry::connected` equal to "some
+//! identified connection carries this id" by calling
+//! [`RoutingTable::set_connected`] where that fact changes: when a
+//! connection identifies, when it closes, and once when the table creates
+//! an entry ([`Observed::Created`]; new entries start unflagged).
+//! `prune_stale` refreshes `last_seen` of flagged entries in the pass it
+//! makes over the arena anyway. That is why there is no `touch`: nothing is
+//! left that refreshes an entry without either hearing from the peer
+//! (`observe`) or pruning.
+//!
+//! ## `closest` walks buckets in distance order without sorting
+//!
+//! Let `D = local ⊕ target`. Every entry of bucket `i < last` shares exactly
+//! `i` prefix bits with `local`, so its distance to `target` starts with
+//! `D`'s first `i` bits followed by `¬D[i]`; the last bucket fixes only the
+//! first `last` bits. The smallest distance a bucket can hold
+//! ([`RoutingTable::bucket_min_distance`]) is that prefix padded with zeros,
+//! and two such bounds first differ at bit `min(i, j)`, where the one from
+//! the lower bucket reads `¬D[i]` and the other reads `D[i]`. Hence the
+//! bounds are totally ordered by the bits of `D` alone: buckets `i < last`
+//! with `D[i] = 1` in ascending index, then the last bucket, then buckets
+//! with `D[i] = 0` in descending index ([`RoutingTable::walk_order`]).
+//! `closest` visits buckets in that order, keeps the best `count` in a stack
+//! array and stops once the next bound cannot beat the current worst.
 
 use crate::messages::PeerInfo;
-use ipfs_types::{Key256, PeerId};
+use ipfs_types::{Distance, Key256, PeerId};
 use simnet::{Dur, NodeId, SimTime};
 
 /// One routing-table entry.
@@ -29,9 +66,27 @@ pub struct Entry {
     pub info: PeerInfo,
     /// Last time we heard from this peer.
     pub last_seen: SimTime,
-    /// When the entry was first added.
-    pub added_at: SimTime,
+    /// Whether the table's owner holds an identified connection to this
+    /// peer (see the module doc; written through
+    /// [`RoutingTable::set_connected`] only).
+    pub connected: bool,
 }
+
+/// What [`RoutingTable::observe`] did with the peer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Observed {
+    /// Already present: `last_seen` (and changed contact info) refreshed.
+    Refreshed,
+    /// A new entry was created, unflagged: the owner decides `connected`.
+    Created,
+    /// Not in the table: self, or a full bucket of fresh entries.
+    Rejected,
+}
+
+/// Largest `count` [`RoutingTable::closest`] serves: the running best set
+/// lives in a stack array of this size (k + 1 = 21 is the largest request
+/// the protocol makes).
+pub const MAX_CLOSEST: usize = 32;
 
 /// A borrowed view of one k-bucket: the live window of the table's entry
 /// arena. Index = cpl, except the last bucket which also holds higher-cpl
@@ -115,7 +170,7 @@ impl RoutingTable {
                     endpoint: NodeId(0),
                 },
                 last_seen: SimTime::ZERO,
-                added_at: SimTime::ZERO,
+                connected: false,
             })
             .clone()
     }
@@ -203,15 +258,15 @@ impl RoutingTable {
         self.position(idx, id).map(|i| &self.window(idx)[i])
     }
 
-    /// Record activity from a peer already in the table.
-    pub fn touch(&mut self, id: &PeerId, now: SimTime) {
+    /// Set the `connected` column of `id`'s entry, if it has one.
+    pub fn set_connected(&mut self, id: &PeerId, connected: bool) {
         let cpl = self.local.common_prefix_len(&id.key());
         if cpl == 256 {
             return;
         }
         let idx = self.bucket_index(cpl);
         if let Some(i) = self.position(idx, id) {
-            self.window_mut(idx)[i].last_seen = now;
+            self.window_mut(idx)[i].connected = connected;
         }
     }
 
@@ -219,10 +274,10 @@ impl RoutingTable {
     /// actually needs a new or changed copy. The hot path for request
     /// serving: the sender is almost always already present, making this a
     /// position scan plus a timestamp store.
-    pub fn observe(&mut self, info: &PeerInfo, now: SimTime) -> bool {
+    pub fn observe(&mut self, info: &PeerInfo, now: SimTime) -> Observed {
         let cpl = self.local.common_prefix_len(&info.id.key());
         if cpl == 256 {
-            return false;
+            return Observed::Rejected;
         }
         let idx = self.bucket_index(cpl);
         if let Some(i) = self.position(idx, &info.id) {
@@ -231,9 +286,13 @@ impl RoutingTable {
             if e.info != *info {
                 e.info = info.clone();
             }
-            return true;
+            return Observed::Refreshed;
         }
-        self.try_insert(info.clone(), now)
+        if self.try_insert(info.clone(), now) {
+            Observed::Created
+        } else {
+            Observed::Rejected
+        }
     }
 
     /// Try to insert (or refresh) a peer. Returns `true` if the peer is in
@@ -265,7 +324,7 @@ impl RoutingTable {
                 self.arena[idx * self.cfg.k + len] = Entry {
                     info,
                     last_seen: now,
-                    added_at: now,
+                    connected: false,
                 };
                 self.lens[idx] = (len + 1) as u16;
                 return true;
@@ -287,7 +346,7 @@ impl RoutingTable {
                 self.window_mut(idx)[stalest_i] = Entry {
                     info,
                     last_seen: now,
-                    added_at: now,
+                    connected: false,
                 };
                 return true;
             }
@@ -354,7 +413,7 @@ impl RoutingTable {
     /// `D` on the first `i` bits, has bit `i` flipped, and is free below —
     /// the minimum is that fixed prefix padded with zeros. The last bucket
     /// holds every cpl ≥ `last`, so only the prefix is fixed.
-    fn bucket_min_distance(d: &[u8; 32], i: usize, is_last: bool) -> ipfs_types::Distance {
+    fn bucket_min_distance(d: &[u8; 32], i: usize, is_last: bool) -> Distance {
         let mut m = [0u8; 32];
         let full = (i / 8).min(32);
         m[..full].copy_from_slice(&d[..full]);
@@ -367,56 +426,97 @@ impl RoutingTable {
                 m[i / 8] |= 1 << (7 - rem);
             }
         }
-        ipfs_types::Distance(m)
+        Distance(m)
     }
 
-    /// The `count` known peers closest to `target` by XOR distance — the
-    /// response set for `FIND_NODE`.
-    ///
-    /// Served on every incoming DHT request, so it must not scan the whole
-    /// table: buckets are visited in ascending order of their minimum
-    /// possible distance to `target` ([`Self::bucket_min_distance`]), and
-    /// the walk stops as soon as the current `count`-th best beats the next
-    /// bucket's lower bound — in a warm table that prunes all but a couple
-    /// of buckets. Distances are unique in a hash keyspace, so the result
-    /// is deterministic and identical to a full sort.
+    /// Bucket indices in ascending order of [`Self::bucket_min_distance`]
+    /// for `D = local ⊕ target`, read off the bits of `d` (module doc).
+    fn walk_order(d: &[u8; 32], n_buckets: usize) -> impl Iterator<Item = usize> + '_ {
+        let last = n_buckets - 1;
+        let bit = move |i: usize| d[i / 8] & (0x80 >> (i % 8)) != 0;
+        (0..last)
+            .filter(move |&i| bit(i))
+            .chain(std::iter::once(last))
+            .chain((0..last).rev().filter(move |&i| !bit(i)))
+    }
+
+    /// The `count` known peers closest to `target` by XOR distance, closest
+    /// first — the seed set of a lookup. `count` is at most [`MAX_CLOSEST`].
     pub fn closest(&self, target: &Key256, count: usize) -> Vec<PeerInfo> {
+        self.select_closest(target, count, None)
+    }
+
+    /// [`Self::closest`] over the table without `exclude` — the response set
+    /// for `FIND_NODE`/`GET_PROVIDERS`, which never echoes the requester.
+    pub fn closest_excluding(
+        &self,
+        target: &Key256,
+        count: usize,
+        exclude: &PeerId,
+    ) -> Vec<PeerInfo> {
+        self.select_closest(target, count, Some(exclude))
+    }
+
+    /// Served on every incoming DHT request, so it must neither scan the
+    /// whole table nor allocate beyond the reply: buckets are visited in
+    /// ascending order of their minimum possible distance to `target`
+    /// ([`Self::walk_order`]), the running best `count` sit in a stack
+    /// array, and the walk stops as soon as the current `count`-th best
+    /// beats the next bucket's lower bound — in a warm table that prunes
+    /// all but a couple of buckets. Distances are unique in a hash
+    /// keyspace, so the result is deterministic and identical to a full
+    /// sort.
+    fn select_closest(
+        &self,
+        target: &Key256,
+        count: usize,
+        exclude: Option<&PeerId>,
+    ) -> Vec<PeerInfo> {
+        assert!(
+            count <= MAX_CLOSEST,
+            "closest({count}) exceeds MAX_CLOSEST = {MAX_CLOSEST}"
+        );
         if count == 0 {
             return Vec::new();
         }
         let d_local = self.local.distance(target).0;
         let nb = self.lens.len();
-        let mut order: Vec<(ipfs_types::Distance, usize)> = (0..nb)
-            .filter(|&i| self.lens[i] > 0)
-            .map(|i| (Self::bucket_min_distance(&d_local, i, i == nb - 1), i))
-            .collect();
-        order.sort_unstable_by_key(|a| a.0);
-        let mut best: Vec<(ipfs_types::Distance, &Entry)> = Vec::with_capacity(count + 1);
-        for (d_min, bi) in order {
-            if best.len() == count && d_min >= best[count - 1].0 {
+        // `best[..n]`: (distance, arena index), ascending by distance.
+        let mut best = [(Distance::ZERO, 0u32); MAX_CLOSEST];
+        let mut n = 0usize;
+        for bi in Self::walk_order(&d_local, nb) {
+            let len = self.lens[bi] as usize;
+            if len == 0 {
+                continue;
+            }
+            if n == count && Self::bucket_min_distance(&d_local, bi, bi == nb - 1) >= best[n - 1].0
+            {
                 break;
             }
-            for e in self.window(bi) {
+            let base = bi * self.cfg.k;
+            for (j, e) in self.arena[base..base + len].iter().enumerate() {
                 let d = e.info.id.key().distance(target);
-                if best.len() == count {
-                    if d >= best[count - 1].0 {
-                        continue;
-                    }
-                    best.pop();
+                if (n == count && d >= best[n - 1].0) || exclude == Some(&e.info.id) {
+                    continue;
                 }
-                let pos = best
-                    .binary_search_by(|(bd, _)| bd.cmp(&d))
-                    .unwrap_or_else(|p| p);
-                best.insert(pos, (d, e));
+                let pos = best[..n].partition_point(|(bd, _)| *bd < d);
+                n = (n + 1).min(count);
+                best.copy_within(pos..n - 1, pos + 1);
+                best[pos] = (d, (base + j) as u32);
             }
         }
-        best.into_iter().map(|(_, e)| e.info.clone()).collect()
+        best[..n]
+            .iter()
+            .map(|&(_, i)| self.arena[i as usize].info.clone())
+            .collect()
     }
 
     /// Evict entries not heard from within `max_age` (kubo's usefulness
     /// eviction: peers that neither answered nor sent anything recently are
-    /// dropped and re-learned through lookups if still alive). Returns the
-    /// number of evicted entries.
+    /// dropped and re-learned through lookups if still alive). A live
+    /// connection counts as usefulness (go-ipfs v0.11 kept connected peers
+    /// in the table unconditionally): `connected` entries are refreshed to
+    /// `now` instead. Returns the number of evicted entries.
     pub fn prune_stale(&mut self, now: SimTime, max_age: Dur) -> usize {
         let mut removed = 0;
         for i in 0..self.lens.len() {
@@ -424,7 +524,11 @@ impl RoutingTable {
             let len = self.lens[i] as usize;
             let mut w = 0usize;
             for j in 0..len {
-                if now.since(self.arena[base + j].last_seen) <= max_age {
+                let e = &mut self.arena[base + j];
+                if e.connected {
+                    e.last_seen = now;
+                }
+                if now.since(e.last_seen) <= max_age {
                     if j != w {
                         self.arena.swap(base + w, base + j);
                     }
@@ -671,6 +775,83 @@ mod tests {
         assert_eq!(removed, 3);
         let got: Vec<PeerId> = t.bucket(0).entries().iter().map(|e| e.info.id).collect();
         assert_eq!(got, kept);
+    }
+
+    #[test]
+    fn entry_stays_72_bytes() {
+        // `connected` sits where `added_at` used to; tables are most of a
+        // node's memory, so the layout is pinned.
+        assert_eq!(std::mem::size_of::<Entry>(), 72);
+    }
+
+    #[test]
+    fn observe_reports_creation_and_new_entries_start_unflagged() {
+        let mut t = table();
+        let now = SimTime::ZERO;
+        assert_eq!(t.observe(&info(1), now), Observed::Created);
+        assert!(!t.get(&PeerId::from_seed(1)).unwrap().connected);
+        t.set_connected(&PeerId::from_seed(1), true);
+        // Refreshes (either entry point) keep the flag.
+        assert_eq!(t.observe(&info(1), now), Observed::Refreshed);
+        assert!(t.try_insert(info(1), now));
+        assert!(t.get(&PeerId::from_seed(1)).unwrap().connected);
+        // Self is rejected; flagging an absent peer creates nothing.
+        assert_eq!(t.observe(&info(0), now), Observed::Rejected);
+        t.set_connected(&PeerId::from_seed(2), true);
+        assert_eq!(t.len(), 1);
+        // A removed peer comes back unflagged: its old slot is recycled.
+        assert!(t.remove(&PeerId::from_seed(1)));
+        assert_eq!(t.observe(&info(1), now), Observed::Created);
+        assert!(!t.get(&PeerId::from_seed(1)).unwrap().connected);
+    }
+
+    #[test]
+    fn flag_travels_with_its_entry_through_unfolds() {
+        let mut t = table();
+        let flagged: Vec<PeerId> = (1..=15u64).map(PeerId::from_seed).collect();
+        for s in 1..2000u64 {
+            t.try_insert(info(s), SimTime::ZERO);
+            if s <= 15 {
+                t.set_connected(&PeerId::from_seed(s), true);
+            }
+        }
+        assert!(t.bucket_count() > 5);
+        for e in t.entries() {
+            assert_eq!(e.connected, flagged.contains(&e.info.id));
+        }
+    }
+
+    #[test]
+    fn prune_stale_refreshes_connected_entries_instead() {
+        let mut t = table();
+        for s in 1..=4u64 {
+            t.try_insert(info(s), SimTime::ZERO);
+        }
+        t.set_connected(&PeerId::from_seed(2), true);
+        let now = SimTime::ZERO + Dur::from_hours(3);
+        assert_eq!(t.prune_stale(now, Dur::from_hours(1)), 3);
+        let e = t.get(&PeerId::from_seed(2)).expect("connected entry kept");
+        assert_eq!(e.last_seen, now);
+        assert_eq!(t.len(), 1);
+        // Once the connection is gone the entry ages like any other.
+        t.set_connected(&PeerId::from_seed(2), false);
+        assert_eq!(
+            t.prune_stale(now + Dur::from_hours(2), Dur::from_hours(1)),
+            1
+        );
+    }
+
+    #[test]
+    fn walk_order_is_the_sorted_lower_bound_order() {
+        for seed in 0..200u64 {
+            let d = Key256::from_seed(seed).0;
+            for nb in [1usize, 2, 3, 9, 17, 64, 255, 256] {
+                let mut sorted: Vec<usize> = (0..nb).collect();
+                sorted.sort_by_key(|&i| RoutingTable::bucket_min_distance(&d, i, i == nb - 1));
+                let walked: Vec<usize> = RoutingTable::walk_order(&d, nb).collect();
+                assert_eq!(walked, sorted, "seed {seed}, {nb} buckets");
+            }
+        }
     }
 
     #[test]

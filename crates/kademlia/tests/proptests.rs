@@ -55,20 +55,65 @@ proptest! {
         local in any::<u64>(),
         seeds in proptest::collection::vec(any::<u64>(), 30..200),
         target in any::<u64>(),
+        // 0..256: the target is `local` with that bit flipped, so the walk
+        // starts in the deepest buckets; otherwise a random key.
+        near_bit in 0u32..512,
+        drop_mask in any::<u64>(),
+        sender in any::<usize>(),
     ) {
         let local_key = PeerId::from_seed(local).key();
         let mut t = RoutingTable::new(local_key, TableConfig::default());
-        for s in &seeds {
-            t.try_insert(info(*s), SimTime::ZERO);
+        // Even seeds go in an hour later than odd ones; flagged entries
+        // survive pruning like connected peers do.
+        let late = SimTime::ZERO + Dur::from_hours(1);
+        for (i, s) in seeds.iter().enumerate() {
+            let at = if s % 2 == 0 { late } else { SimTime::ZERO };
+            t.try_insert(info(*s), at);
+            if i % 7 == 0 {
+                t.set_connected(&PeerId::from_seed(*s), true);
+            }
         }
-        let target = Key256::from_seed(target);
-        let got = t.closest(&target, 20);
-        // Compare against a full sort of the table contents.
+        // Empty out buckets: remove a masked subset, then (half the time)
+        // prune everything from the early wave.
+        for (i, s) in seeds.iter().enumerate() {
+            if (drop_mask >> (i % 64)) & 1 == 1 {
+                t.remove(&PeerId::from_seed(*s));
+            }
+        }
+        if drop_mask & 1 == 0 {
+            t.prune_stale(late, Dur::from_mins(30));
+        }
+        let target = if near_bit < 256 {
+            local_key.with_bit_flipped(near_bit)
+        } else {
+            Key256::from_seed(target)
+        };
+        // Reference: a full sort of the table contents.
         let mut all: Vec<PeerId> = t.entries().map(|e| e.info.id).collect();
         all.sort_by_key(|p| p.key().distance(&target));
-        let want: Vec<PeerId> = all.into_iter().take(got.len()).collect();
-        let got_ids: Vec<PeerId> = got.iter().map(|p| p.id).collect();
-        prop_assert_eq!(got_ids, want);
+        let k = 20;
+        for count in [1, k, k + 1] {
+            let got: Vec<PeerId> = t.closest(&target, count).iter().map(|p| p.id).collect();
+            let want: Vec<PeerId> = all.iter().copied().take(count).collect();
+            prop_assert_eq!(got, want, "count {}", count);
+        }
+        // The request-serving variant: full sort, drop the sender, take k.
+        // The sender is one of the k + 2 closest, so that dropping it shows.
+        if !all.is_empty() {
+            let sender = all[sender % all.len().min(k + 2)];
+            let got: Vec<PeerId> =
+                t.closest_excluding(&target, k, &sender).iter().map(|p| p.id).collect();
+            let want: Vec<PeerId> =
+                all.iter().copied().filter(|p| *p != sender).take(k).collect();
+            prop_assert_eq!(got, want);
+        }
+        let stranger = PeerId::from_seed(local ^ 1);
+        if t.get(&stranger).is_none() {
+            prop_assert_eq!(
+                t.closest_excluding(&target, k, &stranger),
+                t.closest(&target, k)
+            );
+        }
     }
 
     #[test]
