@@ -155,8 +155,7 @@ fn json_line(name: &str, stats: &SimStats, wall: f64) -> String {
     )
 }
 
-/// One measured campaign run: `cfg` on `n` shards for `horizon` under an
-/// explicit placement/lookahead policy pair.
+/// One measured campaign run: `cfg` on `n` shards for `horizon`.
 struct SliceRun {
     stats: SimStats,
     state: simnet::StateBytes,
@@ -165,23 +164,15 @@ struct SliceRun {
     wall: f64,
 }
 
-fn run_campaign_slice(
-    cfg: netgen::ScenarioConfig,
-    n: usize,
-    horizon: Dur,
-    placement: netgen::PlacementMode,
-    lookahead: simnet::LookaheadMode,
-) -> SliceRun {
+fn run_campaign_slice(cfg: netgen::ScenarioConfig, n: usize, horizon: Dur) -> SliceRun {
     let scenario = netgen::build(cfg.with_shards(n));
     let mut campaign = tcsb_core::Campaign::new(
         scenario,
         tcsb_core::CampaignOptions {
             with_workload: true,
-            placement,
             ..Default::default()
         },
     );
-    campaign.sim.set_lookahead_mode(lookahead);
     let t = Instant::now();
     campaign.run_for(horizon);
     SliceRun {
@@ -199,21 +190,16 @@ fn run_campaign_slice(
 /// region-0/cloud shard regardless of placement — stops dominating the
 /// cumulative counters. Records the cumulative max/min dispatched ratio
 /// at 48 virtual hours plus the 24→48 h steady-state window ratio; the
-/// committed full-budget references in `ci/` extend the same trajectory
-/// to 504 h (measured 1.49 balanced vs. 10.53 region-major).
+/// full 504 h budget measured 1.49 (PR 9, CHANGES.md).
 fn placement_balance_row() -> String {
     let scenario = netgen::build(netgen::ScenarioConfig::stress(7).with_shards(4));
     let mut campaign = tcsb_core::Campaign::new(
         scenario,
         tcsb_core::CampaignOptions {
             with_workload: false,
-            placement: netgen::PlacementMode::Balanced,
             ..Default::default()
         },
     );
-    campaign
-        .sim
-        .set_lookahead_mode(simnet::LookaheadMode::PerPair);
     let t = Instant::now();
     campaign.run_for(Dur::from_hours(24));
     let mid: Vec<u64> = campaign
@@ -263,49 +249,47 @@ fn sync_summary(loads: &[simnet::ShardLoad]) -> (u64, u64, u64, u64, f64) {
 }
 
 /// One campaign workload line. The digest pins the determinism contract
-/// (identical history on every shard count, placement, and lookahead
-/// policy); wall-clock is the scaling metric. The `state_bytes` fields
-/// are the struct-of-arrays accounting: replicated columns cost a fixed
-/// 8 B/node on every shard (the O(nodes) claim, measured), owner-only
-/// columns exist exactly once across the whole engine. The sync fields
-/// (`epochs`, `barrier_waits`, `mailbox_*`, `dispatch_ratio`) are
-/// deterministic functions of `(scenario, seed, shards, placement,
-/// lookahead)` — the perf regression oracle that works on any host.
-/// `sync_overhead_only` flags rows where the host had fewer cores than
-/// shards, so the wall-clock measures barrier/mailbox overhead rather
-/// than parallel speedup — readers (and regression tooling) should not
-/// interpret such a row as a scaling data point.
+/// (identical history on every shard count); wall-clock is the scaling
+/// metric. The `state_bytes` fields are the struct-of-arrays accounting:
+/// replicated columns cost a fixed 8 B/node on every shard (the O(nodes)
+/// claim, measured), owner-only columns exist exactly once across the
+/// whole engine. The sync fields (`epochs`, `barrier_waits`, `mailbox_*`,
+/// `dispatch_ratio`) are deterministic functions of `(scenario, seed,
+/// shards)` — the perf regression oracle that works on any host.
+/// `speedup_vs_1shard` is `null` where the host had fewer cores than
+/// shards: such a wall-clock measures barrier/mailbox overhead, not
+/// parallel speedup, and must not be read as a scaling data point.
 fn campaign_row(key: &str, n: usize, run: &SliceRun, base_wall: f64) -> String {
-    let speedup = if base_wall > 0.0 {
-        base_wall / run.wall
-    } else {
-        1.0
-    };
     let nodes = run.state.nodes.max(1);
     let host_cpus = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
+    let speedup = if host_cpus < n {
+        "null".to_string()
+    } else if base_wall > 0.0 {
+        format!("{:.2}", base_wall / run.wall)
+    } else {
+        "1.00".to_string()
+    };
     let (epochs, barriers, mb_events, mb_bytes, ratio) = sync_summary(&run.loads);
     format!(
         "  \"{key}\": {{ \"events\": {}, \"wall_secs\": {:.3}, \
 \"events_per_sec\": {:.0}, \"peak_queue_len\": {}, \"msgs_delivered\": {}, \
-\"digest\": \"{:#018x}\", \"speedup_vs_1shard\": {:.2}, \"nodes\": {}, \
+\"digest\": \"{:#018x}\", \"speedup_vs_1shard\": {speedup}, \"nodes\": {}, \
 \"replica_bytes\": {}, \"replica_bytes_per_node_per_shard\": {:.2}, \
 \"owned_bytes\": {}, \"epochs\": {epochs}, \"barrier_waits\": {barriers}, \
 \"mailbox_out_events\": {mb_events}, \"mailbox_out_bytes\": {mb_bytes}, \
-\"dispatch_ratio\": {ratio:.2}, \"sync_overhead_only\": {} }}",
+\"dispatch_ratio\": {ratio:.2} }}",
         run.stats.events,
         run.wall,
         run.stats.events as f64 / run.wall.max(1e-9),
         run.stats.peak_queue_len,
         run.stats.msgs_delivered,
         run.digest,
-        speedup,
         run.state.nodes,
         run.state.replica_bytes,
         run.state.replica_bytes as f64 / (nodes * n as u64) as f64,
         run.state.owned_bytes,
-        host_cpus < n,
     )
 }
 
@@ -332,70 +316,23 @@ fn write_engine_json() {
     let camp_wall = t.elapsed().as_secs_f64();
     let camp_stats = campaign.sim.core().stats.clone();
 
-    // Shard scaling: 1/2/4 shards over the identical stress slice, under
-    // the shipped policy (balanced placement, per-pair lookahead). On a
+    // Shard scaling: 1/2/4 shards over the identical stress slice. On a
     // multi-core host the wall-clock drops with the shard count; the
     // digest row proves the history did not change. `host_cpus` records
     // how many cores were actually available to scale onto.
-    use netgen::PlacementMode::{Balanced, RegionMajor};
-    use simnet::LookaheadMode::{GlobalMin, PerPair};
     let stress = netgen::ScenarioConfig::stress(7);
     let hours6 = Dur::from_hours(6);
-    let r1 = run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair);
+    let r1 = run_campaign_slice(stress.clone(), 1, hours6);
     let base_wall = r1.wall;
     let base_digest = r1.digest;
-    let r2 = run_campaign_slice(stress.clone(), 2, hours6, Balanced, PerPair);
-    let r4 = run_campaign_slice(stress.clone(), 4, hours6, Balanced, PerPair);
+    let r2 = run_campaign_slice(stress.clone(), 2, hours6);
+    let r4 = run_campaign_slice(stress.clone(), 4, hours6);
     let s1 = campaign_row("campaign_stress_6h_shards1", 1, &r1, 0.0);
     let s2 = campaign_row("campaign_stress_6h_shards2", 2, &r2, base_wall);
     let s4 = campaign_row("campaign_stress_6h_shards4", 4, &r4, base_wall);
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-
-    // Sharding policy A/B at shards=4: the same slice under the pre-PR
-    // executor semantics (global-min lookahead) and the pre-PR placement
-    // (region-major), in all combinations. Every row must reproduce the
-    // same digest — only the deterministic sync counters move. The
-    // `sharding_ab` summary row distills the comparison: epoch reduction
-    // of the shipped policy vs. the global-min baseline at the same
-    // placement, and the dispatch-balance win vs. region-major.
-    let ab = [
-        (
-            "campaign_stress_6h_shards4_regionmajor",
-            RegionMajor,
-            PerPair,
-        ),
-        ("campaign_stress_6h_shards4_globalmin", Balanced, GlobalMin),
-        (
-            "campaign_stress_6h_shards4_regionmajor_globalmin",
-            RegionMajor,
-            GlobalMin,
-        ),
-    ];
-    let mut ab_rows = Vec::new();
-    let mut ab_sync = Vec::new();
-    for (key, place, look) in ab {
-        let r = run_campaign_slice(stress.clone(), 4, hours6, place, look);
-        assert_eq!(
-            r.digest, base_digest,
-            "{key}: placement/lookahead policy perturbed the trace digest"
-        );
-        ab_rows.push(campaign_row(key, 4, &r, base_wall));
-        ab_sync.push(sync_summary(&r.loads));
-    }
-    let (ship_epochs, _, _, _, ship_ratio) = sync_summary(&r4.loads);
-    let (_, _, _, _, rm_ratio) = ab_sync[0];
-    let (base_epochs, ..) = ab_sync[1];
-    let (rm_base_epochs, ..) = ab_sync[2];
-    let ab_summary = format!(
-        "  \"sharding_ab_stress_6h_shards4\": {{ \"epochs_shipped\": {ship_epochs}, \
-\"epochs_globalmin_baseline\": {base_epochs}, \
-\"epochs_regionmajor_globalmin\": {rm_base_epochs}, \
-\"epoch_reduction_vs_baseline\": {:.2}, \"dispatch_ratio_shipped_6h_cum\": {ship_ratio:.2}, \
-\"dispatch_ratio_regionmajor\": {rm_ratio:.2}, \"digests_identical\": true }}",
-        base_epochs as f64 / ship_epochs.max(1) as f64,
-    );
     let balance_row = placement_balance_row();
 
     // Telemetry overhead: the identical 1-shard stress slice with the
@@ -416,7 +353,7 @@ fn write_engine_json() {
     let run_telem = || {
         telemetry::reset();
         telemetry::set_enabled(true);
-        let rt = run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair);
+        let rt = run_campaign_slice(stress.clone(), 1, hours6);
         telemetry::set_enabled(false);
         telemetry::reset();
         assert_eq!(
@@ -428,14 +365,11 @@ fn write_engine_json() {
     let mut round_ratios = Vec::new();
     for round in 0..4 {
         let (b, t) = if round % 2 == 0 {
-            let b = run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair).wall;
+            let b = run_campaign_slice(stress.clone(), 1, hours6).wall;
             (b, run_telem())
         } else {
             let t = run_telem();
-            (
-                run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair).wall,
-                t,
-            )
+            (run_campaign_slice(stress.clone(), 1, hours6).wall, t)
         };
         base_walls.push(b);
         telem_walls.push(t);
@@ -490,7 +424,6 @@ fn write_engine_json() {
                 with_workload: true,
                 with_requests: false,
                 live_workload: Some(spec),
-                ..Default::default()
             },
         );
         let t = Instant::now();
@@ -528,30 +461,20 @@ fn write_engine_json() {
             .and_then(|v| v.parse().ok())
             .filter(|&v| v >= 1)
             .unwrap_or(1usize);
-        let r = run_campaign_slice(
-            netgen::ScenarioConfig::internet(7),
-            n,
-            Dur::from_hours(1),
-            Balanced,
-            PerPair,
-        );
+        let r = run_campaign_slice(netgen::ScenarioConfig::internet(7), n, Dur::from_hours(1));
         format!(",\n{}", campaign_row("campaign_internet_1h", n, &r, 0.0))
     } else {
         String::new()
     };
 
     let body = format!(
-        "{{\n  \"schema\": \"tcsb-bench-engine/6\",\n  \"host_cpus\": {host_cpus},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}{}\n}}\n",
+        "{{\n  \"schema\": \"tcsb-bench-engine/7\",\n  \"host_cpus\": {host_cpus},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}{}\n}}\n",
         json_line("pingpong_512pairs_60s", &pp_stats, pp_wall),
         json_line("timer_storm_1024_10min", &st_stats, st_wall),
         json_line("campaign_tiny_12h", &camp_stats, camp_wall),
         s1,
         s2,
         s4,
-        ab_rows[0],
-        ab_rows[1],
-        ab_rows[2],
-        ab_summary,
         balance_row,
         telemetry_row,
         replay_row,

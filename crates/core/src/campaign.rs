@@ -18,14 +18,11 @@ use simnet::{Dur, LatencyModel, NodeId, NodeSetup, RegionId, Sim, SimConfig, Sim
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-/// Campaign construction options.
+/// Campaign construction options: which traffic the campaign schedules.
+/// Everything else about a run — engine seed, loss, dial timeout, node
+/// placement — follows from the scenario and the constants below.
 #[derive(Clone, Debug)]
 pub struct CampaignOptions {
-    /// Engine dial timeout (the crawler's 3-minute timeout is separate and
-    /// implied by RPC timers).
-    pub dial_timeout: Dur,
-    /// Random message loss.
-    pub loss: f64,
     /// Whether to schedule the content/request workload (crawl-only
     /// campaigns skip it to save events).
     pub with_workload: bool,
@@ -38,29 +35,25 @@ pub struct CampaignOptions {
     /// request trace. Publishes still come from the scenario; the static
     /// request loop is skipped. Requires `with_workload`.
     pub live_workload: Option<netgen::WorkloadSpec>,
-    /// Override the engine seed (defaults to scenario seed).
-    pub engine_seed: Option<u64>,
-    /// Node→shard placement policy. `Auto` honors `TCSB_BALANCE`
-    /// (default balanced); tests pin `Balanced`/`RegionMajor` explicitly
-    /// so parallel suites never race on the environment. Placement never
-    /// affects results (the engine is placement-invariant by contract),
-    /// only which thread owns which node.
-    pub placement: netgen::PlacementMode,
 }
 
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
-            dial_timeout: Dur::from_secs(8),
-            loss: 0.002,
             with_workload: true,
             with_requests: true,
             live_workload: None,
-            engine_seed: None,
-            placement: netgen::PlacementMode::Auto,
         }
     }
 }
+
+/// Engine dial timeout (the crawler's 3-minute timeout is separate and
+/// implied by RPC timers).
+const DIAL_TIMEOUT: Dur = Dur::from_secs(8);
+/// Random message loss.
+const LOSS: f64 = 0.002;
+/// Mixed into the scenario seed to derive the engine seed.
+const ENGINE_SEED_SALT: u64 = 0x51;
 
 /// Predicted event weights for the campaign's singleton actors, as
 /// fractions of the total scenario-node weight (per mille). The monitor
@@ -122,18 +115,14 @@ impl Campaign {
     /// Instantiate the scenario.
     pub fn new(scenario: Scenario, opts: CampaignOptions) -> Campaign {
         let cfg = SimConfig {
-            loss: opts.loss,
-            dial_timeout: opts.dial_timeout,
+            loss: LOSS,
+            dial_timeout: DIAL_TIMEOUT,
             max_events: u64::MAX,
         };
         let latency = LatencyModel::continents(4, Dur::from_millis(12), Dur::from_millis(90), 0.3);
-        let seed = opts.engine_seed.unwrap_or(scenario.cfg.seed ^ 0x51u64);
+        let seed = scenario.cfg.seed ^ ENGINE_SEED_SALT;
         // Shard count: explicit `ScenarioConfig::shards`, else TCSB_SHARDS,
-        // else 1. Placement: the balanced partitioner by default (LPT
-        // whole-region packing plus minimum stratified splits of the
-        // hottest regions), or plain `netgen::shard_for` region-major under
-        // `TCSB_BALANCE=0`/`PlacementMode::RegionMajor`. Output is
-        // byte-identical across shard counts *and* placements; only
+        // else 1. Output is byte-identical across shard counts; only
         // wall-clock and per-shard load change.
         let shards = scenario.cfg.effective_shards();
         let mut sim: Sim<EcoActor> = Sim::new_sharded(cfg, latency, seed, shards);
@@ -186,11 +175,7 @@ impl Campaign {
         ] {
             items.push(netgen::PlacementItem { region: 0, weight });
         }
-        let placement = if opts.placement.is_balanced() && shards > 1 {
-            netgen::placement::balanced(&items, shards)
-        } else {
-            netgen::placement::region_major(&items, shards)
-        };
+        let placement = netgen::placement::balanced(&items, shards);
 
         // Bootstrap identities are known up front (first N nodes).
         let bootstrap: Vec<(PeerId, NodeId)> = (0..scenario.bootstrap_count)

@@ -4,27 +4,18 @@
 //! engine shard count. This is the end-to-end version of the oracle that
 //! `simnet/tests/shard_equivalence.rs` checks at the actor level.
 
-use netgen::{PlacementMode, ScenarioConfig};
+use netgen::ScenarioConfig;
 use proptest::prelude::*;
 use simnet::Dur;
 use tcsb_core::{Campaign, CampaignOptions};
 
 fn fingerprint(cfg: ScenarioConfig, hours: u64) -> (u64, u64, u64, u64, usize) {
-    fingerprint_placed(cfg, hours, PlacementMode::Auto)
-}
-
-fn fingerprint_placed(
-    cfg: ScenarioConfig,
-    hours: u64,
-    placement: PlacementMode,
-) -> (u64, u64, u64, u64, usize) {
     let scenario = netgen::build(cfg);
     let mut campaign = Campaign::new(
         scenario,
         CampaignOptions {
             with_workload: true,
             with_requests: false,
-            placement,
             ..Default::default()
         },
     );
@@ -42,16 +33,6 @@ fn fingerprint_placed(
             .snapshots
             .len(),
     )
-}
-
-#[test]
-fn tiny_campaign_matches_across_shard_counts() {
-    let one = fingerprint(ScenarioConfig::tiny(42).with_shards(1), 8);
-    assert!(one.1 > 50_000, "campaign actually ran: {one:?}");
-    for shards in [2usize, 4] {
-        let many = fingerprint(ScenarioConfig::tiny(42).with_shards(shards), 8);
-        assert_eq!(one, many, "{shards}-shard tiny campaign diverged");
-    }
 }
 
 /// Struct-of-arrays budget at the campaign level: `Campaign::new` reserves
@@ -82,27 +63,19 @@ fn tiny_campaign_replica_bytes_stay_o_nodes() {
     }
 }
 
-/// Balanced placement is history-invariant at the full-campaign level:
-/// the weighted partitioner (which splits regions across shards and
-/// moves the monitor/crawler singletons off shard 0) replays the same
-/// trace as region-major at every shard count — placement affects only
-/// which thread owns a node, never what happens.
+/// Placement is history-invariant at the full-campaign level: every
+/// shard count is a different assignment by the weighted partitioner
+/// (which moves the monitor/crawler singletons off shard 0, and at 7
+/// shards — more shards than regions — must split regions), and each
+/// replays the 1-shard trace — placement affects only which thread owns a
+/// node, never what happens.
 #[test]
 fn tiny_campaign_placement_invariant() {
-    let one = fingerprint_placed(
-        ScenarioConfig::tiny(42).with_shards(1),
-        8,
-        PlacementMode::Auto,
-    );
+    let one = fingerprint(ScenarioConfig::tiny(42).with_shards(1), 8);
+    assert!(one.1 > 50_000, "campaign actually ran: {one:?}");
     for shards in [2usize, 4, 7] {
-        for placement in [PlacementMode::Balanced, PlacementMode::RegionMajor] {
-            let many =
-                fingerprint_placed(ScenarioConfig::tiny(42).with_shards(shards), 8, placement);
-            assert_eq!(
-                one, many,
-                "{shards}-shard {placement:?} tiny campaign diverged"
-            );
-        }
+        let many = fingerprint(ScenarioConfig::tiny(42).with_shards(shards), 8);
+        assert_eq!(one, many, "{shards}-shard tiny campaign diverged");
     }
 }
 
@@ -114,11 +87,9 @@ proptest! {
     /// preserves the 1-shard history on a short tiny slice.
     #[test]
     fn balanced_placement_digest_invariant_randomized(seed in 1u64..100_000) {
-        let one = fingerprint_placed(
-            ScenarioConfig::tiny(seed).with_shards(1), 3, PlacementMode::Auto);
+        let one = fingerprint(ScenarioConfig::tiny(seed).with_shards(1), 3);
         for shards in [4usize, 7] {
-            let many = fingerprint_placed(
-                ScenarioConfig::tiny(seed).with_shards(shards), 3, PlacementMode::Balanced);
+            let many = fingerprint(ScenarioConfig::tiny(seed).with_shards(shards), 3);
             prop_assert_eq!(&one, &many, "{} shards diverged", shards);
         }
     }

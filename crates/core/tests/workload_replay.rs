@@ -32,7 +32,6 @@ fn replay_fingerprint(seed: u64, shards: usize, with_flash: bool) -> (u64, u64, 
             with_workload: true,
             with_requests: false,
             live_workload: Some(replay_spec(seed, with_flash)),
-            ..Default::default()
         },
     );
     c.run_for(Dur::from_hours(13));

@@ -124,7 +124,8 @@ whatif-cloud-exit, whatif-recovery, engine, budget, telemetry, workload-replay"
     let mut seed = 42u64;
     let mut shards = 0usize; // 0 = auto (TCSB_SHARDS or 1)
     let mut md_path: Option<String> = None;
-    let mut telemetry_on = telemetry::env_requested();
+    // `TCSB_TELEMETRY`: any non-empty value other than `0` turns it on.
+    let mut telemetry_on = std::env::var("TCSB_TELEMETRY").is_ok_and(|v| !v.is_empty() && v != "0");
     let mut flight_out: Option<String> = None;
     let mut profile_out: Option<String> = None;
     let mut i = 1;
@@ -279,20 +280,15 @@ shared_bytes={} epochs={} barrier_waits={} mailbox_out_events={} mailbox_out_byt
                     l.sync.mailbox_bytes_out
                 );
             }
-            // Placement and lookahead: which partitioner owned the nodes,
-            // its predicted per-shard weights (the balance objective the
+            // Placement and lookahead: the partitioner's predicted
+            // per-shard weights (the balance objective the
             // dispatched counters above are measured against), and the
             // effective shard×shard conservative lookahead matrix (ns;
             // "-" where no influence path exists). All deterministic.
             let p = &data.placement;
             let predicted: Vec<String> = p.predicted.iter().map(|w| w.to_string()).collect();
             println!(
-                "placement mode={} splits={} predicted_ratio_x100={} predicted=[{}]",
-                if p.balanced {
-                    "balanced"
-                } else {
-                    "region-major"
-                },
+                "placement mode=balanced splits={} predicted_ratio_x100={} predicted=[{}]",
                 p.splits,
                 p.predicted_ratio_x100(),
                 predicted.join(",")

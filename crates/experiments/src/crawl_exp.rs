@@ -30,7 +30,7 @@ pub struct CrawlData {
     pub wall_secs: f64,
     /// Engine shards the campaign ran on.
     pub shards: usize,
-    /// Node→shard placement the campaign used (mode, splits, predicted
+    /// Node→shard placement the campaign used (splits, predicted
     /// per-shard weights — the balance objective).
     pub placement: netgen::Placement,
     /// Effective shard×shard conservative lookahead matrix (metric

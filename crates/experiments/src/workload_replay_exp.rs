@@ -133,7 +133,6 @@ pub fn run(scale: Scale, seed: u64, shards: usize) -> ReplayData {
             with_workload: true,
             with_requests: false,
             live_workload: Some(spec.clone()),
-            ..Default::default()
         },
     );
     let flash = spec.flash.expect("replay_spec always configures a flash");

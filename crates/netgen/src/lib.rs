@@ -15,13 +15,13 @@ pub mod workload;
 
 pub use build::build;
 pub use paper::{PaperTargets, PAPER};
-pub use placement::{node_weight, Placement, PlacementItem, PlacementMode};
+pub use placement::{node_weight, Placement, PlacementItem};
 pub use plan::{
     build_databases, provider_plan, IpAllocator, ProviderPlan, CLOUDFLARE, CLOUD_PROVIDERS,
     DATACAMP, RESIDENTIAL_BLOCKS,
 };
 pub use scenario::{
-    canonical_plan_order, region_of, shard_for, ContentItem, ExitStyle, ExitWave, GatewaySpec,
+    canonical_plan_order, region_of, ContentItem, ExitStyle, ExitWave, GatewaySpec,
     InterventionKind, InterventionSpec, InterventionTarget, NodeSpec, Platform, Request, Scenario,
     ScenarioConfig, Segment, Session, StagedExitSpec,
 };

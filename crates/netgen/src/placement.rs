@@ -1,12 +1,12 @@
 //! Deterministic load-balanced node→shard placement.
 //!
-//! The default `shard_for` assignment (`region % shards`) keeps regions
-//! whole, which maximizes the cross-shard latency floor but parks every
-//! heavyweight actor — the monitor, the crawler, the gateway frontends,
-//! and the most populous region — on the same few shards: at 4 shards the
-//! measured max-to-min per-shard dispatched-event ratio is ~10×.
+//! Keeping every region whole (`region % shards`) maximizes the
+//! cross-shard latency floor but parks every heavyweight actor — the
+//! monitor, the crawler, the gateway frontends, and the most populous
+//! region — on the same few shards: at 4 shards the measured max-to-min
+//! per-shard dispatched-event ratio was ~10×.
 //!
-//! [`balanced`] replaces it with a two-phase weighted partition. Phase 1
+//! [`balanced`] is a two-phase weighted partition instead. Phase 1
 //! packs *whole regions* onto shards, heaviest region first onto the
 //! currently lightest shard (LPT bin packing) — whole regions are free:
 //! they add no intra-region shard pair, so every pair keeps the wide
@@ -36,33 +36,6 @@
 
 use crate::scenario::{NodeSpec, Platform, Segment};
 
-/// How a campaign assigns nodes to shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlacementMode {
-    /// Honor `TCSB_BALANCE` (unset or `1`/`true` → balanced, `0`/`false`
-    /// → region-major).
-    #[default]
-    Auto,
-    /// Whole regions per shard (`region % shards`), heavyweights and all.
-    RegionMajor,
-    /// Weighted contiguous partition over region-major order.
-    Balanced,
-}
-
-impl PlacementMode {
-    /// Resolve to "use the balanced partitioner?".
-    pub fn is_balanced(self) -> bool {
-        match self {
-            PlacementMode::RegionMajor => false,
-            PlacementMode::Balanced => true,
-            PlacementMode::Auto => !matches!(
-                std::env::var("TCSB_BALANCE").as_deref(),
-                Ok("0") | Ok("false") | Ok("no")
-            ),
-        }
-    }
-}
-
 /// One node to place: its latency region and predicted event weight.
 #[derive(Clone, Copy, Debug)]
 pub struct PlacementItem {
@@ -81,8 +54,6 @@ pub struct Placement {
     pub predicted: Vec<u64>,
     /// Number of regions split across a shard boundary.
     pub splits: usize,
-    /// Whether the balanced partitioner produced this assignment.
-    pub balanced: bool,
 }
 
 impl Placement {
@@ -103,27 +74,6 @@ impl Placement {
                 .or_insert((shard_of[i], false));
         }
         per_region.values().filter(|(_, split)| *split).count()
-    }
-}
-
-/// The region-major baseline as a [`Placement`] (for A/B comparison and
-/// the `TCSB_BALANCE=0` escape hatch).
-pub fn region_major(items: &[PlacementItem], shards: usize) -> Placement {
-    let shards = shards.max(1);
-    let shard_of: Vec<u16> = items
-        .iter()
-        .map(|it| crate::shard_for(it.region, shards))
-        .collect();
-    let mut predicted = vec![0u64; shards];
-    for (i, it) in items.iter().enumerate() {
-        predicted[shard_of[i] as usize] += it.weight.max(1);
-    }
-    let splits = Placement::count_splits(items, &shard_of);
-    Placement {
-        shard_of,
-        predicted,
-        splits,
-        balanced: false,
     }
 }
 
@@ -148,8 +98,16 @@ const GOAL_RATIO_X100: u64 = 150;
 /// hottest one, between exactly two shards: one intra-region shard pair
 /// instead of the chain a contiguous cut produces.
 pub fn balanced(items: &[PlacementItem], shards: usize) -> Placement {
-    let shards = shards.max(1);
     let n = items.len();
+    if shards <= 1 {
+        // Nothing to partition: a single-shard campaign must not pay for
+        // the region maps and sorts below.
+        return Placement {
+            shard_of: vec![0; n],
+            predicted: vec![items.iter().map(|it| it.weight.max(1)).sum()],
+            splits: 0,
+        };
+    }
 
     // Per-region item lists, stable in insertion order.
     let mut region_items: std::collections::BTreeMap<u16, Vec<usize>> =
@@ -266,7 +224,6 @@ pub fn balanced(items: &[PlacementItem], shards: usize) -> Placement {
         shard_of,
         predicted: load,
         splits,
-        balanced: true,
     }
 }
 
@@ -345,8 +302,18 @@ mod tests {
             "predicted ratio {} should beat 1.5×: {p:?}",
             p.predicted_ratio_x100()
         );
-        let rm = region_major(&items(&v), 4);
-        assert!(rm.predicted_ratio_x100() > 500, "{rm:?}");
+    }
+
+    #[test]
+    fn one_shard_is_the_trivial_assignment() {
+        // Zero weights count as 1, like everywhere else in the partitioner.
+        let v = [(0u16, 7u64), (3, 0), (1, 5)];
+        for shards in [0, 1] {
+            let p = balanced(&items(&v), shards);
+            assert_eq!(p.shard_of, vec![0, 0, 0]);
+            assert_eq!(p.predicted, vec![13]);
+            assert_eq!(p.splits, 0);
+        }
     }
 
     #[test]

@@ -442,15 +442,13 @@ pub struct ScenarioConfig {
     /// `whatif` engine when the campaign is instantiated through it).
     pub interventions: Vec<InterventionSpec>,
     /// Engine shards the campaign runs on (`0` = auto: the `TCSB_SHARDS`
-    /// environment variable, defaulting to 1). Node→shard assignment
-    /// defaults to the weighted balanced partitioner
-    /// ([`placement::balanced`]) over region-major order — hot regions
-    /// may split across adjacent shards, and the executor's per-pair
-    /// lookahead matrix keeps every non-split shard pair at its full
-    /// inter-region latency floor. `TCSB_BALANCE=0` falls back to the
-    /// whole-region [`shard_for`] assignment. Results are byte-identical
-    /// for every shard count and placement — only wall-clock and
-    /// per-shard load change.
+    /// environment variable, defaulting to 1). Nodes are assigned to
+    /// shards by the weighted partitioner
+    /// [`crate::placement::balanced`] — hot regions may split across two
+    /// shards, and the executor's per-pair lookahead matrix keeps every
+    /// non-split shard pair at its full inter-region latency floor.
+    /// Results are byte-identical for every shard count — only wall-clock
+    /// and per-shard load change.
     pub shards: usize,
 }
 
@@ -480,8 +478,6 @@ impl ScenarioConfig {
             .unwrap_or(1)
     }
 }
-
-pub use simnet::shard_for;
 
 /// A fully generated scenario.
 #[derive(Debug)]

@@ -149,7 +149,9 @@ pub struct SimConfig {
     /// How long an unanswered dial takes to fail (the paper's crawler used a
     /// 3-minute connection timeout; protocol code usually uses seconds).
     pub dial_timeout: Dur,
-    /// Safety valve: `run_until` aborts after this many events.
+    /// Safety valve: `run_until` panics once the engine has processed more
+    /// than this many events in total (`SimStats::events`, cumulative over
+    /// every run call, the same count on any number of shards).
     pub max_events: u64,
 }
 
@@ -452,9 +454,8 @@ impl SyncCounters {
 }
 
 /// One shard's load gauge: how many nodes it owns, how many events its
-/// dispatch loop executed, and its measured state split — the
-/// observability hook for the region-major assignment's load imbalance
-/// (monitor/crawler traffic parks on shard 0).
+/// dispatch loop executed, and its measured state split — the measured
+/// objective a node→shard assignment is judged against.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardLoad {
     /// Shard index.
@@ -477,18 +478,12 @@ fn ev_key(origin: u32, oseq: u32) -> u64 {
     ((origin as u64) << 32) | oseq as u64
 }
 
-/// Deterministic *region-major* node→shard assignment: regions map whole
-/// onto shards (`region % shards`), so two nodes sharing a region always
-/// share a shard and every cross-shard latency sits at the inter-region
-/// floor of the latency matrix. This is the fallback placement
-/// (`TCSB_BALANCE=0`) and the default for [`Sim::add_node`]; campaigns
-/// normally place nodes through `netgen::placement::balanced`, which
-/// equalizes predicted per-shard load by splitting hot regions across
-/// adjacent shards — the engine's per-pair lookahead matrix keeps the
-/// non-split pairs at their full floors, and results are byte-identical
-/// under any assignment. The single definition of the region-major rule:
-/// `netgen` re-exports it and [`Sim::add_node`] applies it.
-pub fn shard_for(region: u16, shards: usize) -> u16 {
+/// Default node→shard assignment of [`Sim::add_node`]: regions map whole
+/// onto shards (`region % shards`), so every cross-shard latency sits at
+/// the inter-region floor of the latency matrix. Results are
+/// byte-identical under any assignment; campaigns place nodes explicitly
+/// through [`Sim::add_node_in`].
+fn shard_for(region: u16, shards: usize) -> u16 {
     if shards <= 1 {
         0
     } else {
@@ -1663,8 +1658,6 @@ pub struct Sim<A: Actor> {
     seed: u64,
     /// Cached conservative lookahead matrix; invalidated by `add_node`.
     lookahead_cache: Option<LookaheadInfo>,
-    /// Horizon derivation mode (per-pair matrix vs collapsed baseline).
-    lookahead_mode: LookaheadMode,
 }
 
 /// Cached conservative lookahead bounds, derived from the latency model and
@@ -1699,32 +1692,6 @@ pub(crate) struct LookaheadInfo {
 /// enough that `t + NO_LINK` cannot overflow under `saturating_add`.
 pub(crate) const NO_LINK: Dur = Dur(u64::MAX / 4);
 
-/// How the sharded executor derives epoch horizons from the channel floors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LookaheadMode {
-    /// Per-shard-pair matrix (metric closure of the directed channel
-    /// floors): pairs that only talk over wide-area links take wide epoch
-    /// windows; a split region throttles only the pair it spans.
-    #[default]
-    PerPair,
-    /// Collapse every pair to the single global minimum floor — the
-    /// pre-matrix executor's horizon (`T_min + min L` for every shard).
-    /// Kept as a deterministic A/B baseline for the bench and regression
-    /// tests; selectable with `TCSB_LOOKAHEAD=global`.
-    GlobalMin,
-}
-
-impl LookaheadMode {
-    /// Resolve the startup default: `TCSB_LOOKAHEAD=global` selects the
-    /// collapsed baseline, anything else the per-pair matrix.
-    pub fn from_env() -> LookaheadMode {
-        match std::env::var("TCSB_LOOKAHEAD").as_deref() {
-            Ok("global") => LookaheadMode::GlobalMin,
-            _ => LookaheadMode::PerPair,
-        }
-    }
-}
-
 /// Engine forking: cloning a quiesced `Sim` (between `run_*` calls —
 /// worker threads are scoped per run, outboxes are drained at epoch
 /// barriers) snapshots the entire deterministic state: queues, per-node
@@ -1748,7 +1715,6 @@ where
             harness_seq: self.harness_seq,
             seed: self.seed,
             lookahead_cache: self.lookahead_cache.clone(),
-            lookahead_mode: self.lookahead_mode,
         }
     }
 }
@@ -1880,7 +1846,6 @@ impl<A: Actor> Sim<A> {
             harness_seq: 0,
             seed,
             lookahead_cache: None,
-            lookahead_mode: LookaheadMode::from_env(),
         }
     }
 
@@ -1902,7 +1867,7 @@ impl<A: Actor> Sim<A> {
     }
 
     /// Register a node in the shard chosen by the default assignment
-    /// (`region % n_shards`, matching `netgen`'s deterministic placement).
+    /// (`region % n_shards`).
     /// If `setup.online`, an up-event is queued at the current time so
     /// `on_start` runs through the normal event path.
     pub fn add_node(&mut self, actor: A, setup: NodeSetup) -> NodeId {
@@ -2232,17 +2197,6 @@ impl<A: Actor> Sim<A> {
                     }
                 }
             }
-            if self.lookahead_mode == LookaheadMode::GlobalMin && min < NO_LINK {
-                // Collapsed baseline: every pair (including the diagonal,
-                // so a shard's own head participates in its horizon)
-                // advances by `T_min + min` — exactly the pre-matrix
-                // executor. Direct floors collapse too: every actual link
-                // is at least the global minimum, so the per-push assert
-                // stays valid, merely weaker.
-                matrix = vec![min; n * n];
-                closure = matrix.clone();
-                max_finite = min;
-            }
             self.lookahead_cache = Some(LookaheadInfo {
                 min,
                 max_finite,
@@ -2251,17 +2205,6 @@ impl<A: Actor> Sim<A> {
             });
         }
         self.lookahead_cache.as_ref().expect("just populated")
-    }
-
-    /// Select how epoch horizons are derived (per-pair matrix vs the
-    /// collapsed global-minimum baseline). Deterministic A/B switch for
-    /// benches and regression tests; results are byte-identical either
-    /// way, only epoch counts and wall-clock change.
-    pub fn set_lookahead_mode(&mut self, mode: LookaheadMode) {
-        if self.lookahead_mode != mode {
-            self.lookahead_mode = mode;
-            self.lookahead_cache = None;
-        }
     }
 
     /// Conservative global lookahead: the minimum possible latency of a link
@@ -2292,11 +2235,9 @@ impl<A: Actor> Sim<A> {
     pub fn run_until(&mut self, t: SimTime) {
         if self.shards.len() == 1 {
             let max_events = self.shards[0].core.cfg.max_events;
-            let mut processed: u64 = 0;
             let sh = &mut self.shards[0];
             while sh.step_bounded(None, t) {
-                processed += 1;
-                if processed > max_events {
+                if sh.core.stats.events > max_events {
                     panic!("simulation exceeded max_events = {max_events}");
                 }
             }

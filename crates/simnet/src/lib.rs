@@ -38,8 +38,8 @@ pub mod wheel;
 pub use churn::{ChurnModel, LogNormal};
 pub use conn::{ConnEntry, ConnPool, ConnTable};
 pub use engine::{
-    shard_for, Actor, CoreView, Ctx, EventKindCounts, Fault, LookaheadMode, NodeId, NodeSetup,
-    ShardLoad, Sim, SimConfig, SimCore, SimStats, StateBytes, SyncCounters, MAX_SHARDS,
+    Actor, CoreView, Ctx, EventKindCounts, Fault, NodeId, NodeSetup, ShardLoad, Sim, SimConfig,
+    SimCore, SimStats, StateBytes, SyncCounters, MAX_SHARDS,
 };
 pub use latency::{LatencyModel, RegionId};
 pub use time::{Dur, SimTime};

@@ -153,10 +153,7 @@ pub(crate) fn run_epochs<A: Actor>(
                     // earliest the woken shard's reaction can arrive back,
                     // so the bound stays conservative while a shard that
                     // pushes nothing drains its whole backlog in one epoch.
-                    // The diagonal is `NO_LINK` in per-pair mode (a shard
-                    // never bounds itself) and the global minimum in the
-                    // collapsed baseline (every shard advances by exactly
-                    // `T_min + min L`, the pre-matrix horizon).
+                    // The diagonal is `NO_LINK`: a shard never bounds itself.
                     let h0 = (0..n)
                         .map(|j| {
                             next_at[j]

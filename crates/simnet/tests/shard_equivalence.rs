@@ -215,6 +215,77 @@ fn shard_counts_agree_with_faults_and_relays() {
     assert_eq!(one, run(7, 0xBEEF, true, 5), "7 shards ≠ 1 shard");
 }
 
+/// Endless ping-pong between two nodes: one event per link latency.
+struct Pong;
+
+impl Actor for Pong {
+    type Msg = ();
+    type Cmd = NodeId;
+
+    fn on_command(&mut self, ctx: &mut Ctx<'_, (), NodeId>, peer: NodeId) {
+        ctx.dial(peer);
+    }
+
+    fn on_dial_result(&mut self, ctx: &mut Ctx<'_, (), NodeId>, target: NodeId, ok: bool, _: bool) {
+        if ok {
+            ctx.send(target, ());
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, (), NodeId>, from: NodeId, _: ()) {
+        ctx.send(from, ());
+    }
+}
+
+/// `SimConfig::max_events` caps the engine's *cumulative* event count, the
+/// same on every shard count: two `run_until` calls that each process
+/// fewer events than the cap but together exceed it panic in the second
+/// call, with one message, on 1 and on 2 shards.
+#[test]
+fn max_events_caps_cumulative_events_on_any_shard_count() {
+    const CAP: u64 = 80;
+    let messages: Vec<String> = [1usize, 2]
+        .into_iter()
+        .map(|shards| {
+            let mut s: Sim<Pong> = Sim::new_sharded(
+                SimConfig {
+                    max_events: CAP,
+                    ..SimConfig::default()
+                },
+                LatencyModel::uniform(Dur::from_millis(10), 0.0),
+                1,
+                shards,
+            );
+            // Regions 0 and 1: one node per shard at 2 shards.
+            let a = s.add_node(Pong, NodeSetup::public(Ipv4Addr::new(10, 0, 0, 1)));
+            let b = s.add_node(
+                Pong,
+                NodeSetup::public(Ipv4Addr::new(10, 0, 0, 2)).in_region(RegionId(1)),
+            );
+            s.schedule_command(SimTime::ZERO, a, b);
+            s.run_until(SimTime::ZERO + Dur::from_millis(500));
+            let first = s.stats().events;
+            assert!(
+                CAP / 2 < first && first < CAP,
+                "{shards} shards: first call ran {first} events"
+            );
+            let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.run_until(SimTime::ZERO + Dur::from_millis(1000));
+            }));
+            let payload = second.expect_err("second call must exceed the cap");
+            payload
+                .downcast_ref::<String>()
+                .expect("panic message")
+                .clone()
+        })
+        .collect();
+    assert_eq!(
+        messages[0],
+        format!("simulation exceeded max_events = {CAP}")
+    );
+    assert_eq!(messages[0], messages[1], "1 and 2 shards disagree");
+}
+
 /// The struct-of-arrays memory contract: non-owner shards replicate only
 /// the compact columns (owner handle u32 + net-class u16 + region u16 =
 /// 8 bytes/node), so adding shards costs O(nodes), not O(nodes × 300B).

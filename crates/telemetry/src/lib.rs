@@ -46,15 +46,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether the `TCSB_TELEMETRY` environment variable requests telemetry
-/// (any non-empty value other than `0`).
-pub fn env_requested() -> bool {
-    match std::env::var("TCSB_TELEMETRY") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
 /// Clear all recorded state (metrics, flight recorder, profiler samples).
 /// The enabled flag is left untouched. Call between campaigns so a
 /// snapshot covers exactly one run.

@@ -15,16 +15,6 @@ use tcsb_core::{Campaign, CampaignOptions};
 use whatif::TimelineConfig;
 
 fn run(seed: u64, plan: Vec<InterventionSpec>, shards: usize, hours: u64) -> (u64, u64, u64, u64) {
-    run_placed(seed, plan, shards, hours, netgen::PlacementMode::Auto)
-}
-
-fn run_placed(
-    seed: u64,
-    plan: Vec<InterventionSpec>,
-    shards: usize,
-    hours: u64,
-    placement: netgen::PlacementMode,
-) -> (u64, u64, u64, u64) {
     let cfg = ScenarioConfig::tiny(seed)
         .with_interventions(plan)
         .with_shards(shards);
@@ -34,7 +24,6 @@ fn run_placed(
         CampaignOptions {
             with_workload: true,
             with_requests: false,
-            placement,
             ..Default::default()
         },
     );
@@ -69,12 +58,12 @@ fn cloud_exit_plan_matches_across_shard_counts() {
     assert_eq!(one, run(11, plan, 4, 8), "4-shard whatif diverged");
 }
 
-/// Placement is a pure ownership concern even under fault injection: the
-/// balanced partitioner (which splits hot regions across shards) and the
-/// region-major baseline replay an intervention plan byte-identically on
-/// every shard count, including a prime count (7) that forces splits.
+/// Placement is a pure ownership concern even under fault injection:
+/// every shard count is a different assignment by the partitioner (which
+/// splits hot regions across shards), and each replays an intervention
+/// plan byte-identically, including a prime count (7) that forces splits.
 #[test]
-fn balanced_placement_matches_region_major_under_interventions() {
+fn placement_invariant_under_interventions() {
     let plan = vec![InterventionSpec::exit(
         hour(3),
         InterventionTarget::CloudFraction {
@@ -83,24 +72,13 @@ fn balanced_placement_matches_region_major_under_interventions() {
         },
         ExitStyle::Graceful,
     )];
-    let one = run_placed(17, plan.clone(), 1, 7, netgen::PlacementMode::Balanced);
+    let one = run(17, plan.clone(), 1, 7);
     assert!(one.2 > 0, "faults actually fired: {one:?}");
     for shards in [2usize, 4, 7] {
         assert_eq!(
             one,
-            run_placed(17, plan.clone(), shards, 7, netgen::PlacementMode::Balanced),
-            "balanced {shards}-shard whatif diverged"
-        );
-        assert_eq!(
-            one,
-            run_placed(
-                17,
-                plan.clone(),
-                shards,
-                7,
-                netgen::PlacementMode::RegionMajor
-            ),
-            "region-major {shards}-shard whatif diverged"
+            run(17, plan.clone(), shards, 7),
+            "{shards}-shard whatif diverged"
         );
     }
 }
