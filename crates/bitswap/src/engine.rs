@@ -483,11 +483,6 @@ impl Bitswap {
         }
         out
     }
-
-    /// Drop a finished or abandoned session, returning it.
-    pub fn take_session(&mut self, cid: &Cid) -> Option<FetchSession> {
-        self.sessions.remove(cid)
-    }
 }
 
 /// Register `peer` as a wanter of `cid`. Callers add only on a fresh

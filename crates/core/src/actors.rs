@@ -393,6 +393,14 @@ impl EcoActor {
         }
     }
 
+    /// Mutable crawler.
+    pub fn crawler_mut(&mut self) -> &mut Crawler {
+        match self {
+            EcoActor::Crawler(c) => c,
+            _ => panic!("not a crawler actor"),
+        }
+    }
+
     /// Borrow the web-user population (panics on other variants).
     pub fn webuser(&self) -> &WebUser {
         match self {

@@ -15,7 +15,6 @@ use ipfs_types::{Cid, Keypair, PeerId};
 use kademlia::ProviderRecord;
 use netgen::{Platform, Request, Scenario};
 use simnet::{Dur, LatencyModel, NodeId, NodeSetup, RegionId, Sim, SimConfig, SimTime};
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddrV4};
 
 /// Campaign construction options: which traffic the campaign schedules.
@@ -514,7 +513,9 @@ impl Campaign {
     }
 
     /// Run a full crawl right now, returning its snapshot index. The engine
-    /// advances until the crawl finishes (bounded by `max_wait`).
+    /// advances until the crawl finishes (bounded by `max_wait`); a crawl
+    /// still walking at the deadline is closed there, so the index is
+    /// always this crawl's own — possibly partial — snapshot.
     pub fn crawl(&mut self, max_wait: Dur) -> usize {
         self.crawl_seq += 1;
         let seeds = self.bootstrap_pairs();
@@ -530,8 +531,13 @@ impl Campaign {
         let deadline = started + max_wait;
         loop {
             self.sim.run_for(Dur::from_secs(10));
-            let done = !self.sim.actor(self.crawler).crawler().is_active();
-            if done || self.sim.core().now() >= deadline {
+            let now = self.sim.core().now();
+            let crawler = self.sim.actor_mut(self.crawler).crawler_mut();
+            if !crawler.is_active() {
+                break;
+            }
+            if now >= deadline {
+                crawler.finish(now);
                 break;
             }
         }
@@ -665,15 +671,6 @@ impl Campaign {
         rec.relay_endpoint
             .map(|r| r.idx() < core.node_count() && core.is_online(r))
             .unwrap_or(false)
-    }
-
-    /// Engine-id → scenario-node-index reverse map.
-    pub fn index_of(&self) -> HashMap<NodeId, usize> {
-        self.node_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect()
     }
 
     /// Current virtual time.

@@ -10,8 +10,7 @@
 //! like the ~30% the paper reports.
 
 use ipfs_node::WireMsg;
-use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet};
-use ipfs_types::{Multiaddr, PeerId};
+use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet, PeerId};
 use kademlia::{DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo};
 use serde::{Deserialize, Serialize};
 use simnet::{Ctx, Dur, NodeId, SimTime};
@@ -395,7 +394,10 @@ impl Crawler {
         }
     }
 
-    fn finish(&mut self, now: SimTime) {
+    /// Close the running crawl at `now` with what it has seen so far and
+    /// push its snapshot. Also the harness's way out when its wait runs
+    /// out ([`crate::Campaign::crawl`]).
+    pub fn finish(&mut self, now: SimTime) {
         self.active = false;
         let mut peers: Vec<CrawledPeer> = Vec::with_capacity(self.targets.len());
         let mut edges = Vec::new();
@@ -428,14 +430,5 @@ impl Crawler {
             peers,
             edges,
         });
-    }
-
-    /// Parse advertised multiaddrs into IPv4s (helper shared with analyses).
-    pub fn multiaddr_ips(addrs: &[Multiaddr]) -> Vec<Ipv4Addr> {
-        addrs
-            .iter()
-            .filter(|a| !a.is_circuit())
-            .filter_map(|a| a.ip4())
-            .collect()
     }
 }

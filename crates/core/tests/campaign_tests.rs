@@ -50,6 +50,20 @@ fn crawl_discovers_most_online_servers() {
 }
 
 #[test]
+fn crawl_cut_off_at_its_deadline_returns_its_own_snapshot() {
+    let mut c = tiny_campaign(3, false);
+    c.run_for(Dur::from_hours(6));
+    // Far too short to finish: the crawl is closed at the deadline.
+    let cut = c.crawl(Dur::from_secs(5));
+    let full = c.crawl(Dur::from_mins(40));
+    assert_eq!((cut, full), (0, 1));
+    let snaps = c.snapshots();
+    assert_eq!(snaps.len(), 2, "the abandoned crawl must not push later");
+    assert_eq!((snaps[cut].crawl_id, snaps[full].crawl_id), (1, 2));
+    assert_eq!(snaps[cut].duration(), Dur::from_secs(10), "one 10 s poll");
+}
+
+#[test]
 fn counting_detects_cloud_dominance_and_gip_flip_direction() {
     let mut c = tiny_campaign(2, false);
     c.run_for(Dur::from_hours(3));

@@ -125,7 +125,7 @@ impl Report {
 
 /// Scheduler/engine counters for one campaign as a report section, so
 /// regressions in the event core are visible in EXPERIMENTS.md output, not
-/// only in the criterion benches. Every *table* row is deterministic per
+/// only in `tcsb-bench`. Every *table* row is deterministic per
 /// seed and shard-invariant (the acceptance oracle for the sharded
 /// executor); host-dependent figures — wall time, throughput, per-queue
 /// peak — and the shard count go into a clearly-marked note instead.

@@ -141,9 +141,6 @@ impl NodeConfig {
 #[derive(Clone, Debug)]
 struct RemotePeer {
     id: Option<PeerId>,
-    server: bool,
-    agent: Option<Arc<str>>,
-    relayed: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -324,23 +321,6 @@ impl IpfsNode {
     /// CIDs we have published.
     pub fn published(&self) -> &[Cid] {
         &self.published
-    }
-
-    /// Snapshot of identified connected peers:
-    /// `(endpoint, peer, is_dht_server, agent)`. Sorted by endpoint.
-    pub fn connected_peers(&self) -> Vec<(NodeId, PeerId, bool, &str)> {
-        let mut v: Vec<(NodeId, PeerId, bool, &str)> = self
-            .peers
-            .iter()
-            .filter_map(|(ep, p)| Some((*ep, p.id?, p.server, p.agent.as_deref()?)))
-            .collect();
-        v.sort_by_key(|(ep, ..)| *ep);
-        v
-    }
-
-    /// Whether the connection to `peer` came in through a relay circuit.
-    pub fn peer_was_relayed(&self, ep: NodeId) -> bool {
-        self.peers.get(&ep).map(|p| p.relayed).unwrap_or(false)
     }
 
     fn record(&mut self, ev: NodeEvent) {
@@ -639,17 +619,9 @@ impl IpfsNode {
         &mut self,
         ctx: &mut Ctx<'_, WireMsg, C>,
         from: NodeId,
-        relayed: bool,
+        _relayed: bool,
     ) {
-        let old = self.peers.insert(
-            from,
-            RemotePeer {
-                id: None,
-                server: false,
-                agent: None,
-                relayed,
-            },
-        );
+        let old = self.peers.insert(from, RemotePeer { id: None });
         if let Some(id) = old.and_then(|p| p.id) {
             self.neighbor_lost(id);
         }
@@ -662,16 +634,11 @@ impl IpfsNode {
         ctx: &mut Ctx<'_, WireMsg, C>,
         target: NodeId,
         ok: bool,
-        relayed: bool,
+        _relayed: bool,
     ) {
         let actions = self.dialing.remove(&target).unwrap_or_default();
         if ok {
-            self.peers.entry(target).or_insert(RemotePeer {
-                id: None,
-                server: false,
-                agent: None,
-                relayed,
-            });
+            self.peers.entry(target).or_insert(RemotePeer { id: None });
             self.send_identify(ctx, target);
             for a in actions {
                 self.run_post_dial(ctx, target, a);
@@ -1226,17 +1193,9 @@ impl IpfsNode {
                 id,
                 addrs,
                 dht_server,
-                agent,
+                ..
             } => {
-                let old = self.peers.insert(
-                    from,
-                    RemotePeer {
-                        id: Some(id),
-                        server: dht_server,
-                        agent: Some(agent),
-                        relayed: ctx.is_relayed(from),
-                    },
-                );
+                let old = self.peers.insert(from, RemotePeer { id: Some(id) });
                 let prev_ep = self.conn_by_peer.insert(id, from);
                 self.dht.observe_peer(
                     &PeerInfo {

@@ -80,11 +80,6 @@ impl Dht {
         }
     }
 
-    /// Our peer ID.
-    pub fn local_id(&self) -> PeerId {
-        self.local
-    }
-
     /// Whether we serve DHT requests.
     pub fn is_server(&self) -> bool {
         self.cfg.mode == DhtMode::Server
@@ -127,11 +122,6 @@ impl Dht {
     /// the caller owns that fact (see [`crate::table`]).
     pub fn observe_peer(&mut self, info: &PeerInfo, is_server: bool, now: SimTime) -> bool {
         is_server && info.id != self.local && self.table.observe(info, now) == Observed::Created
-    }
-
-    /// Drop a peer that failed liveness (dial failure / timeout).
-    pub fn peer_failed(&mut self, id: &PeerId) {
-        self.table.remove(id);
     }
 
     /// Serve an incoming request. The response is `None` when none is due
@@ -241,11 +231,6 @@ impl Dht {
         self.lookups.get(&id).map(|l| (l.target, l.cid, l.kind()))
     }
 
-    /// Abort a lookup (e.g. owning operation timed out).
-    pub fn lookup_abort(&mut self, id: u64) -> Option<LookupResult> {
-        self.lookups.remove(&id).map(|l| l.into_result())
-    }
-
     /// Keys to look up for periodic bucket refresh.
     pub fn refresh_targets(&self) -> Vec<Key256> {
         self.table.refresh_targets()
@@ -257,11 +242,6 @@ impl Dht {
     pub fn reset_table(&mut self) {
         self.table = RoutingTable::new(self.local.key(), self.cfg.table);
         self.lookups.clear();
-    }
-
-    /// Number of active lookups.
-    pub fn active_lookups(&self) -> usize {
-        self.lookups.len()
     }
 }
 

@@ -396,7 +396,7 @@ impl OwnedColumns {
 
 /// Measured engine state split for one shard — the observable form of the
 /// O(nodes) replica claim (surfaced in the `repro engine` budget section
-/// and BENCH_engine.json).
+/// and `tcsb-bench`'s `simnet.engine.*_bytes_per_node` rows).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StateBytes {
     /// Registered nodes (same on every shard).
@@ -2277,23 +2277,6 @@ impl<A: Actor> Sim<A> {
     pub fn run_for(&mut self, d: Dur) {
         let t = self.now() + d;
         self.run_until(t);
-    }
-
-    /// Drain every queued event (use only for bounded scenarios).
-    pub fn run_to_completion(&mut self) {
-        loop {
-            let horizon = self
-                .shards
-                .iter_mut()
-                .filter_map(|sh| sh.core.queue.peek_at())
-                .max();
-            let Some(first) = horizon else {
-                return;
-            };
-            // Run in generous windows: events may beget later events, so
-            // loop until every queue is empty.
-            self.run_until(first + Dur::from_hours(1));
-        }
     }
 }
 

@@ -32,16 +32,6 @@ impl LatencyModel {
         }
     }
 
-    /// Build from an explicit symmetric matrix.
-    pub fn from_matrix(base: Vec<Vec<Dur>>, jitter: f64) -> LatencyModel {
-        assert!(!base.is_empty(), "latency matrix must be non-empty");
-        let n = base.len();
-        for row in &base {
-            assert_eq!(row.len(), n, "latency matrix must be square");
-        }
-        LatencyModel { base, jitter }
-    }
-
     /// A synthetic continental model: `n` regions, `intra` latency inside a
     /// region, `inter` between distinct regions.
     pub fn continents(n: usize, intra: Dur, inter: Dur, jitter: f64) -> LatencyModel {

@@ -19,11 +19,6 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Nanoseconds since start.
-    pub fn nanos(self) -> u64 {
-        self.0
-    }
-
     /// Whole seconds since start.
     pub fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000
