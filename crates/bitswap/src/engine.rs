@@ -1,21 +1,28 @@
-//! The Bitswap engine: wantlists, per-peer ledgers, fetch sessions.
+//! The Bitswap engine: fetch sessions, one want table, per-peer ledgers.
 //!
 //! Sans-io. The owner feeds in messages and pulls out `(peer, message)`
 //! sends. Content retrieval starts with a 1-hop `WantHave` broadcast to all
 //! connected neighbours (§2 "Content Retrieval" step 5); peers answering
 //! `Have` get a `WantBlock`; received blocks cancel outstanding wants.
-//! Registered wants from other peers are remembered in ledgers and served
-//! as soon as the block arrives — the mechanism that lets gateways satisfy
-//! most requests without touching the DHT (§5 "ID centralization").
+//!
+//! Other peers' wants for blocks we lack live in exactly one structure,
+//! `Cid → [(peer, want type)]`, and are served from it the moment the block
+//! arrives — the mechanism that lets gateways satisfy most requests without
+//! touching the DHT (§5 "ID centralization"). A fetch's broadcast registers
+//! and, one round trip later, cancels a want at every neighbour, so that
+//! path is one bucket push and one bucket removal, nothing per peer. A
+//! [`Ledger`] is only the go-bitswap block/byte account and exists only for
+//! peers a block was actually exchanged with.
 
 use crate::messages::{BitswapMessage, Block, WantEntry, WantType};
 use crate::store::MemoryBlockstore;
+use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, PeerId};
-use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet};
 use simnet::SimTime;
+use std::collections::hash_map::Entry;
 
-/// Per-peer accounting, as in the go-bitswap ledger.
-#[derive(Clone, Debug, Default)]
+/// Per-peer block accounting, as in the go-bitswap ledger.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ledger {
     /// Blocks sent to this peer.
     pub blocks_sent: u64,
@@ -25,15 +32,6 @@ pub struct Ledger {
     pub bytes_sent: u64,
     /// Bytes received.
     pub bytes_received: u64,
-    /// The peer's outstanding wants against us.
-    wants: HashMap<Cid, WantType>,
-}
-
-impl Ledger {
-    /// The peer's outstanding wants.
-    pub fn wants(&self) -> impl Iterator<Item = (&Cid, &WantType)> {
-        self.wants.iter()
-    }
 }
 
 /// State of one content fetch.
@@ -43,16 +41,32 @@ pub struct FetchSession {
     pub cid: Cid,
     /// When the fetch started.
     pub started: SimTime,
-    /// Peers we probed with `WantHave`.
-    pub asked: HashSet<PeerId>,
-    /// Peers that answered `Have`.
+    /// Peers we sent a want to and owe a `Cancel`: sorted, no duplicates.
+    /// Emptied when the fetch completes (the cancels have gone out).
+    pub asked: Vec<PeerId>,
+    /// Peers that answered `Have`. Dropped when the fetch completes.
     pub haves: Vec<PeerId>,
     /// Peers that answered `DontHave`.
     pub dont_haves: usize,
     /// Peer we requested the full block from.
     pub requested_from: Option<PeerId>,
-    /// Fetch finished.
+    /// Fetch finished. The session stays as a tombstone so that a late
+    /// [`Bitswap::request_block_from`] does not ask for the block again.
     pub done: bool,
+}
+
+impl FetchSession {
+    fn new(cid: Cid, started: SimTime, asked: Vec<PeerId>) -> FetchSession {
+        FetchSession {
+            cid,
+            started,
+            asked,
+            haves: Vec::new(),
+            dont_haves: 0,
+            requested_from: None,
+            done: false,
+        }
+    }
 }
 
 /// Output of feeding a message into the engine.
@@ -69,6 +83,16 @@ impl BsOutput {
     fn push(&mut self, to: PeerId, msg: BitswapMessage) {
         self.sends.push((to, msg));
     }
+
+    fn push_want(&mut self, to: PeerId, entry: WantEntry) {
+        self.push(
+            to,
+            BitswapMessage::Wantlist {
+                entries: vec![entry],
+                full: false,
+            },
+        );
+    }
 }
 
 /// The Bitswap engine of one node.
@@ -76,11 +100,10 @@ impl BsOutput {
 pub struct Bitswap {
     sessions: HashMap<Cid, FetchSession>,
     ledgers: HashMap<PeerId, Ledger>,
-    /// Reverse index of registered wants: `Cid → peers wanting it`, kept
-    /// exactly consistent with the per-ledger want maps. Serving a received
-    /// block is a single index lookup instead of a scan over every ledger
-    /// (monitors and gateways hold thousands).
-    want_index: HashMap<Cid, Vec<PeerId>>,
+    /// Other peers' registered wants for blocks we lack — the only record
+    /// of them. A bucket is never empty and names a peer at most once; it
+    /// holds one or two peers in practice, so membership is a scan.
+    wants: HashMap<Cid, Vec<(PeerId, WantType)>>,
 }
 
 impl Bitswap {
@@ -89,12 +112,12 @@ impl Bitswap {
         Bitswap::default()
     }
 
-    /// Ledger for a peer, if any traffic was exchanged.
+    /// Block/byte account of a peer, if a block was exchanged with it.
     pub fn ledger(&self, peer: &PeerId) -> Option<&Ledger> {
         self.ledgers.get(peer)
     }
 
-    /// Active fetch session for `cid`.
+    /// Fetch session for `cid`, finished ones included.
     pub fn session(&self, cid: &Cid) -> Option<&FetchSession> {
         self.sessions.get(cid)
     }
@@ -104,9 +127,20 @@ impl Bitswap {
         self.sessions.get(cid).map(|s| !s.done).unwrap_or(false)
     }
 
-    /// Number of ledgers (distinct peers exchanged with).
+    /// Number of ledgers (distinct peers blocks were exchanged with).
     pub fn peer_count(&self) -> usize {
         self.ledgers.len()
+    }
+
+    /// The wants `peer` has registered with us, in no particular order
+    /// (a scan of the whole table: for tests and the connection-manager
+    /// sweep, not for the message path).
+    pub fn wants_of(&self, peer: &PeerId) -> impl Iterator<Item = (Cid, WantType)> + '_ {
+        let peer = *peer;
+        self.wants.iter().filter_map(move |(cid, bucket)| {
+            let (_, ty) = bucket.iter().find(|(p, _)| *p == peer)?;
+            Some((*cid, *ty))
+        })
     }
 
     /// Start fetching `cid`: broadcast `WantHave` to `neighbors` (1-hop
@@ -117,26 +151,17 @@ impl Bitswap {
         if self.sessions.contains_key(&cid) {
             return out;
         }
-        let mut session = FetchSession {
-            cid,
-            started: now,
-            asked: HashSet::default(),
-            haves: Vec::new(),
-            dont_haves: 0,
-            requested_from: None,
-            done: false,
-        };
+        out.sends.reserve(neighbors.len());
         for &p in neighbors {
-            session.asked.insert(p);
-            out.push(
-                p,
-                BitswapMessage::Wantlist {
-                    entries: vec![WantEntry::have(cid)],
-                    full: false,
-                },
-            );
+            out.push_want(p, WantEntry::have(cid));
         }
-        self.sessions.insert(cid, session);
+        let mut asked = neighbors.to_vec();
+        if !asked.windows(2).all(|w| w[0] < w[1]) {
+            asked.sort();
+            asked.dedup();
+        }
+        self.sessions
+            .insert(cid, FetchSession::new(cid, now, asked));
         out
     }
 
@@ -144,27 +169,18 @@ impl Bitswap {
     /// provider resolution, when the provider was just dialed).
     pub fn request_block_from(&mut self, cid: Cid, peer: PeerId, now: SimTime) -> BsOutput {
         let mut out = BsOutput::default();
-        let session = self.sessions.entry(cid).or_insert_with(|| FetchSession {
-            cid,
-            started: now,
-            asked: HashSet::default(),
-            haves: Vec::new(),
-            dont_haves: 0,
-            requested_from: None,
-            done: false,
-        });
+        let session = self
+            .sessions
+            .entry(cid)
+            .or_insert_with(|| FetchSession::new(cid, now, Vec::new()));
         if session.done {
             return out;
         }
-        session.asked.insert(peer);
+        if let Err(at) = session.asked.binary_search(&peer) {
+            session.asked.insert(at, peer);
+        }
         session.requested_from = Some(peer);
-        out.push(
-            peer,
-            BitswapMessage::Wantlist {
-                entries: vec![WantEntry::block(cid)],
-                full: false,
-            },
-        );
+        out.push_want(peer, WantEntry::block(cid));
         out
     }
 
@@ -172,110 +188,55 @@ impl Bitswap {
     pub fn cancel_fetch(&mut self, cid: &Cid) -> BsOutput {
         let mut out = BsOutput::default();
         if let Some(s) = self.sessions.remove(cid) {
-            let mut asked: Vec<PeerId> = s.asked.iter().copied().collect();
-            asked.sort();
-            for p in &asked {
-                out.push(
-                    *p,
-                    BitswapMessage::Wantlist {
-                        entries: vec![WantEntry::cancel(*cid)],
-                        full: false,
-                    },
-                );
+            for p in s.asked {
+                out.push_want(p, WantEntry::cancel(*cid));
             }
         }
         out
     }
 
-    /// Forget a disconnected peer's ledger wants (keep counters).
+    /// Forget a disconnected peer's wants (keep its ledger).
     pub fn peer_disconnected(&mut self, peer: &PeerId) {
-        let Bitswap {
-            ledgers,
-            want_index,
-            ..
-        } = self;
-        if let Some(l) = ledgers.get_mut(peer) {
-            for cid in l.wants.keys() {
-                index_remove(want_index, cid, peer);
-            }
-            l.wants.clear();
-        }
-        debug_assert!(
-            !self.peer_indexed(peer),
-            "want_index retained entries for disconnected peer"
-        );
+        self.wants.retain(|_, bucket| {
+            bucket.retain(|(p, _)| p != peer);
+            !bucket.is_empty()
+        });
     }
 
-    /// Drop a peer entirely: unregister its wants from every `want_index`
-    /// bucket *and* discard its ledger, counters included. Where
+    /// Drop a peer entirely: its wants *and* its ledger. Where
     /// [`Bitswap::peer_disconnected`] keeps the counters for a peer that
     /// may reconnect, this is the full-removal path the owner uses to
-    /// bound ledger memory (under sustained request load every fetch
-    /// broadcast seeds ledgers on ephemeral peers that never return).
-    /// Purging the index here is what keeps a later block receipt from
-    /// trying to serve the gone peer.
+    /// bound ledger memory. Purging the wants here is what keeps a later
+    /// block receipt from trying to serve the gone peer.
     pub fn forget_peer(&mut self, peer: &PeerId) {
-        let Bitswap {
-            ledgers,
-            want_index,
-            ..
-        } = self;
-        if let Some(l) = ledgers.remove(peer) {
-            for cid in l.wants.keys() {
-                index_remove(want_index, cid, peer);
-            }
-        }
-        debug_assert!(
-            !self.peer_indexed(peer),
-            "want_index retained entries for forgotten peer"
-        );
+        self.ledgers.remove(peer);
+        self.peer_disconnected(peer);
     }
 
-    /// Whether any `want_index` bucket still names `peer` (cheap oracle
-    /// for the disconnect/forget paths; the full mirror check is
-    /// [`Bitswap::assert_want_index_consistent`]).
-    pub fn peer_indexed(&self, peer: &PeerId) -> bool {
-        self.want_index.values().any(|peers| peers.contains(peer))
-    }
-
-    /// Peers whose ledgers carry no outstanding wants and are not in
-    /// `keep` — the candidates a periodic connection-manager sweep feeds
-    /// to [`Bitswap::forget_peer`]. Sorted for deterministic iteration.
+    /// Peers with a ledger but no outstanding wants that are not in `keep`
+    /// — the candidates a periodic connection-manager sweep feeds to
+    /// [`Bitswap::forget_peer`]. Sorted for deterministic iteration.
     pub fn prunable_peers(&self, keep: impl Fn(&PeerId) -> bool) -> Vec<PeerId> {
         let mut out: Vec<PeerId> = self
             .ledgers
-            .iter()
-            .filter(|(p, l)| l.wants.is_empty() && !keep(p))
-            .map(|(p, _)| *p)
+            .keys()
+            .filter(|p| !keep(p) && self.wants_of(p).next().is_none())
+            .copied()
             .collect();
         out.sort();
         out
     }
 
-    /// Debugging/test oracle: panic unless the want-index mirrors the
-    /// per-ledger want maps exactly (every registered want indexed, no
-    /// stale index entries, no duplicates).
-    pub fn assert_want_index_consistent(&self) {
-        let mut expected: std::collections::BTreeMap<Cid, Vec<PeerId>> = Default::default();
-        for (peer, l) in &self.ledgers {
-            for cid in l.wants.keys() {
-                expected.entry(*cid).or_default().push(*peer);
-            }
+    /// Debugging/test oracle: panic if a want bucket is empty or names a
+    /// peer twice.
+    pub fn assert_wants_consistent(&self) {
+        for (cid, bucket) in &self.wants {
+            assert!(!bucket.is_empty(), "empty want bucket for {cid:?}");
+            let mut peers: Vec<PeerId> = bucket.iter().map(|(p, _)| *p).collect();
+            peers.sort();
+            peers.dedup();
+            assert_eq!(peers.len(), bucket.len(), "duplicate wanter of {cid:?}");
         }
-        for v in expected.values_mut() {
-            v.sort();
-        }
-        let mut actual: std::collections::BTreeMap<Cid, Vec<PeerId>> = Default::default();
-        for (cid, peers) in &self.want_index {
-            assert!(!peers.is_empty(), "empty index bucket for {cid:?}");
-            let mut v = peers.clone();
-            v.sort();
-            let n = v.len();
-            v.dedup();
-            assert_eq!(n, v.len(), "duplicate index entries for {cid:?}");
-            actual.insert(*cid, v);
-        }
-        assert_eq!(expected, actual, "want-index diverged from ledgers");
     }
 
     /// Feed an incoming message. `store` is consulted to serve wants and
@@ -304,53 +265,39 @@ impl Bitswap {
         store: &MemoryBlockstore,
     ) -> BsOutput {
         let mut out = BsOutput::default();
-        let Bitswap {
-            ledgers,
-            want_index,
-            ..
-        } = self;
-        let ledger = ledgers.entry(from).or_default();
         if full {
-            for cid in ledger.wants.keys() {
-                index_remove(want_index, cid, &from);
-            }
-            ledger.wants.clear();
+            // A replacement list: first the same purge as a disconnect.
+            self.peer_disconnected(&from);
         }
         let mut have = Vec::new();
         let mut dont_have = Vec::new();
         let mut blocks = Vec::new();
         for e in entries {
             if e.cancel {
-                if ledger.wants.remove(&e.cid).is_some() {
-                    index_remove(want_index, &e.cid, &from);
+                if let Entry::Occupied(mut bucket) = self.wants.entry(e.cid) {
+                    bucket.get_mut().retain(|(p, _)| *p != from);
+                    if bucket.get().is_empty() {
+                        bucket.remove();
+                    }
                 }
                 continue;
             }
-            match e.ty {
-                WantType::Have => {
-                    if let Some(_b) = store.get(&e.cid) {
-                        have.push(e.cid);
-                    } else {
-                        if e.send_dont_have {
-                            dont_have.push(e.cid);
-                        }
-                        if ledger.wants.insert(e.cid, WantType::Have).is_none() {
-                            index_add(want_index, e.cid, from);
-                        }
-                    }
+            match (store.get(&e.cid), e.ty) {
+                (Some(_), WantType::Have) => have.push(e.cid),
+                (Some(b), WantType::Block) => {
+                    blocks.push(b);
+                    let ledger = self.ledgers.entry(from).or_default();
+                    ledger.blocks_sent += 1;
+                    ledger.bytes_sent += b.size as u64;
                 }
-                WantType::Block => {
-                    if let Some(b) = store.get(&e.cid) {
-                        blocks.push(b);
-                        ledger.blocks_sent += 1;
-                        ledger.bytes_sent += b.size as u64;
-                    } else {
-                        if e.send_dont_have {
-                            dont_have.push(e.cid);
-                        }
-                        if ledger.wants.insert(e.cid, WantType::Block).is_none() {
-                            index_add(want_index, e.cid, from);
-                        }
+                (None, ty) => {
+                    if e.send_dont_have {
+                        dont_have.push(e.cid);
+                    }
+                    let bucket = self.wants.entry(e.cid).or_default();
+                    match bucket.iter_mut().find(|(p, _)| *p == from) {
+                        Some(want) => want.1 = ty,
+                        None => bucket.push((from, ty)),
                     }
                 }
             }
@@ -372,7 +319,7 @@ impl Bitswap {
         store: &mut MemoryBlockstore,
     ) -> BsOutput {
         let mut out = BsOutput::default();
-        {
+        if !blocks.is_empty() {
             let ledger = self.ledgers.entry(from).or_default();
             for b in &blocks {
                 ledger.blocks_received += 1;
@@ -385,71 +332,49 @@ impl Bitswap {
             if let Some(s) = self.sessions.get_mut(&b.cid) {
                 if !s.done {
                     s.done = true;
+                    s.haves = Vec::new();
                     telemetry::count(telemetry::Counter::BitswapFetchesResolved, 1);
                     telemetry::observe(
                         telemetry::Metric::WantResolutionNs,
                         now.0.saturating_sub(s.started.0),
                     );
                     out.received.push((b.cid, from));
-                    let mut asked: Vec<PeerId> = s.asked.iter().copied().collect();
-                    asked.sort();
-                    for p in asked {
+                    for p in std::mem::take(&mut s.asked) {
                         if p != from {
-                            out.push(
-                                p,
-                                BitswapMessage::Wantlist {
-                                    entries: vec![WantEntry::cancel(b.cid)],
-                                    full: false,
-                                },
-                            );
+                            out.push_want(p, WantEntry::cancel(b.cid));
                         }
                     }
                 }
             }
-            // Serve peers that registered wants for this block: one index
-            // lookup instead of a scan over every ledger.
-            let mut wanters: Vec<(PeerId, WantType)> = self
-                .want_index
-                .get(&b.cid)
-                .map(|peers| {
-                    peers
-                        .iter()
-                        .filter(|p| **p != from)
-                        .map(|p| {
-                            let t = self
-                                .ledgers
-                                .get(p)
-                                .and_then(|l| l.wants.get(&b.cid))
-                                .expect("want-index entry backed by ledger want");
-                            (*p, *t)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            // Deterministic service order (index order is insertion-driven).
-            wanters.sort_by_key(|(p, _)| *p);
-            for (p, t) in wanters {
-                index_remove(&mut self.want_index, &b.cid, &p);
-                match t {
+            // Serve the peers that registered a want for this block, in
+            // `PeerId` order (bucket order is arrival order). The sender's
+            // own want, if any, stays registered.
+            let Some(mut bucket) = self.wants.remove(&b.cid) else {
+                continue;
+            };
+            let own = bucket.iter().position(|(p, _)| *p == from);
+            let own = own.map(|at| bucket.swap_remove(at));
+            bucket.sort_by_key(|(p, _)| *p);
+            for (p, ty) in bucket.drain(..) {
+                match ty {
                     WantType::Block => {
-                        let l = self.ledgers.get_mut(&p).expect("wanter has ledger");
-                        l.wants.remove(&b.cid);
-                        l.blocks_sent += 1;
-                        l.bytes_sent += b.size as u64;
+                        let ledger = self.ledgers.entry(p).or_default();
+                        ledger.blocks_sent += 1;
+                        ledger.bytes_sent += b.size as u64;
                         out.push(p, BitswapMessage::Blocks { blocks: vec![b] });
                     }
-                    WantType::Have => {
-                        let l = self.ledgers.get_mut(&p).expect("wanter has ledger");
-                        l.wants.remove(&b.cid);
-                        out.push(
-                            p,
-                            BitswapMessage::Presence {
-                                have: vec![b.cid],
-                                dont_have: vec![],
-                            },
-                        );
-                    }
+                    WantType::Have => out.push(
+                        p,
+                        BitswapMessage::Presence {
+                            have: vec![b.cid],
+                            dont_have: vec![],
+                        },
+                    ),
                 }
+            }
+            if let Some(want) = own {
+                bucket.push(want);
+                self.wants.insert(b.cid, bucket);
             }
         }
         out
@@ -466,13 +391,7 @@ impl Bitswap {
                 // First Have wins: request the block from that peer.
                 if s.requested_from.is_none() {
                     s.requested_from = Some(from);
-                    out.push(
-                        from,
-                        BitswapMessage::Wantlist {
-                            entries: vec![WantEntry::block(cid)],
-                            full: false,
-                        },
-                    );
+                    out.push_want(from, WantEntry::block(cid));
                 }
             }
         }
@@ -482,25 +401,6 @@ impl Bitswap {
             }
         }
         out
-    }
-}
-
-/// Register `peer` as a wanter of `cid`. Callers add only on a fresh
-/// ledger-want insert, so the bucket never holds duplicates.
-fn index_add(index: &mut HashMap<Cid, Vec<PeerId>>, cid: Cid, peer: PeerId) {
-    index.entry(cid).or_default().push(peer);
-}
-
-/// Drop `peer` from `cid`'s wanter bucket (no-op when absent), pruning the
-/// bucket when it empties.
-fn index_remove(index: &mut HashMap<Cid, Vec<PeerId>>, cid: &Cid, peer: &PeerId) {
-    if let Some(peers) = index.get_mut(cid) {
-        if let Some(pos) = peers.iter().position(|p| p == peer) {
-            peers.swap_remove(pos);
-        }
-        if peers.is_empty() {
-            index.remove(cid);
-        }
     }
 }
 
@@ -638,6 +538,47 @@ mod tests {
     }
 
     #[test]
+    fn finished_session_is_a_bare_tombstone() {
+        // A completed fetch stays in `sessions` so that a late
+        // `request_block_from` is a no-op, but without the peers it asked.
+        let mut a = Bitswap::new();
+        let mut store_a = MemoryBlockstore::new();
+        let c = cid(1);
+        // Unsorted, with a duplicate: WantHaves go out as given, the
+        // cancels once per peer in `PeerId` order.
+        let neighbors = [peer(4), peer(2), peer(3), peer(2)];
+        assert_eq!(a.start_fetch(c, &neighbors, SimTime::ZERO).sends.len(), 4);
+        let have = BitswapMessage::Presence {
+            have: vec![c],
+            dont_have: vec![],
+        };
+        a.handle_message(SimTime::ZERO, peer(3), have, &mut store_a);
+        let s = a.session(&c).unwrap();
+        let mut sorted = vec![peer(2), peer(3), peer(4)];
+        sorted.sort();
+        assert_eq!(s.asked.len(), 3, "the duplicate neighbour is asked once");
+        assert_eq!(s.haves, vec![peer(3)]);
+        let blocks = BitswapMessage::Blocks {
+            blocks: vec![Block { cid: c, size: 10 }],
+        };
+        let out = a.handle_message(SimTime::ZERO, peer(3), blocks.clone(), &mut store_a);
+        assert_eq!(out.received, vec![(c, peer(3))]);
+        let cancelled: Vec<PeerId> = out.sends.iter().map(|(p, _)| *p).collect();
+        sorted.retain(|p| *p != peer(3));
+        assert_eq!(cancelled, sorted, "one cancel per other asked peer");
+        let s = a.session(&c).unwrap();
+        assert!(s.done && s.asked.is_empty() && s.haves.is_empty());
+        assert_eq!(s.asked.capacity() + s.haves.capacity(), 0);
+        let again = a.handle_message(SimTime::ZERO, peer(2), blocks, &mut store_a);
+        assert!(again.received.is_empty() && again.sends.is_empty());
+        assert!(a
+            .request_block_from(c, peer(5), SimTime::ZERO)
+            .sends
+            .is_empty());
+        assert!(a.session(&c).unwrap().asked.is_empty());
+    }
+
+    #[test]
     fn cancel_fetch_sends_cancels() {
         let mut a = Bitswap::new();
         let c = cid(1);
@@ -668,9 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn want_index_consistent_through_cancel() {
-        // The satellite invariant: registering, cancelling and re-registering
-        // wants keeps the Cid→wanters index exactly in sync with the ledgers.
+    fn want_table_consistent_through_cancel() {
+        // Registering, cancelling and re-registering wants never leaves an
+        // empty bucket or a peer named twice, and only live wants are served.
         let mut a = Bitswap::new();
         let mut store = MemoryBlockstore::new();
         let (c1, c2) = (cid(1), cid(2));
@@ -687,7 +628,7 @@ mod tests {
                 },
                 &mut store,
             );
-            a.assert_want_index_consistent();
+            a.assert_wants_consistent();
         }
         // Cancel one of two wanters of c1.
         a.handle_message(
@@ -699,8 +640,8 @@ mod tests {
             },
             &mut store,
         );
-        a.assert_want_index_consistent();
-        // Cancelling an unregistered want is a no-op for the index too.
+        a.assert_wants_consistent();
+        // Cancelling an unregistered want is a no-op.
         a.handle_message(
             SimTime::ZERO,
             peer(9),
@@ -710,7 +651,7 @@ mod tests {
             },
             &mut store,
         );
-        a.assert_want_index_consistent();
+        a.assert_wants_consistent();
         // The cancelled peer must not be served; the remaining wanter must.
         let out = a.handle_message(
             SimTime::ZERO,
@@ -727,30 +668,35 @@ mod tests {
             .map(|(p, _)| *p)
             .collect();
         assert_eq!(served, vec![peer(3)], "only the live wanter is served");
-        a.assert_want_index_consistent();
-        // Full-replace and disconnect also keep the index in sync.
+        a.assert_wants_consistent();
+        // Full-replace and disconnect purge through the same table.
         a.handle_message(
             SimTime::ZERO,
             peer(2),
             BitswapMessage::Wantlist {
-                entries: vec![WantEntry::block(c1)],
+                entries: vec![WantEntry::block(cid(3))],
                 full: true,
             },
             &mut store,
         );
-        a.assert_want_index_consistent();
+        a.assert_wants_consistent();
+        assert_eq!(
+            a.wants_of(&peer(2)).collect::<Vec<_>>(),
+            vec![(cid(3), WantType::Block)],
+            "full wantlist replaced the Have for c2"
+        );
         a.peer_disconnected(&peer(2));
-        a.assert_want_index_consistent();
+        a.assert_wants_consistent();
         assert!(
-            a.ledger(&peer(2)).unwrap().wants().next().is_none(),
+            a.wants_of(&peer(2)).next().is_none(),
             "disconnect clears wants"
         );
     }
 
     #[test]
-    fn forget_peer_purges_every_want_index_bucket() {
+    fn forget_peer_purges_every_want_bucket() {
         // Regression: forgetting a peer used to drop only the ledger,
-        // leaving its entries in `want_index`, so a later block receipt
+        // leaving its registered wants behind, so a later block receipt
         // tried to serve the gone peer.
         let mut a = Bitswap::new();
         let mut store = MemoryBlockstore::new();
@@ -771,8 +717,11 @@ mod tests {
         }
         a.forget_peer(&peer(2));
         assert!(a.ledger(&peer(2)).is_none(), "ledger fully discarded");
-        assert!(!a.peer_indexed(&peer(2)), "no stale index entries remain");
-        a.assert_want_index_consistent();
+        assert!(
+            a.wants_of(&peer(2)).next().is_none(),
+            "no stale wants remain"
+        );
+        a.assert_wants_consistent();
         // A block arriving now is served only to the surviving wanter.
         let out = a.handle_message(
             SimTime::ZERO,
@@ -789,17 +738,18 @@ mod tests {
             .map(|(p, _)| *p)
             .collect();
         assert_eq!(served, vec![peer(3)]);
-        a.assert_want_index_consistent();
+        a.assert_wants_consistent();
         // Forgetting an unknown peer is a no-op.
         a.forget_peer(&peer(42));
-        a.assert_want_index_consistent();
+        a.assert_wants_consistent();
     }
 
     #[test]
     fn prunable_peers_skips_wants_and_kept() {
         let mut a = Bitswap::new();
         let mut store = MemoryBlockstore::new();
-        // peer 2 has an outstanding want, peers 3 and 4 only counters.
+        // Blocks were exchanged with peers 2, 3 and 4; peer 2 also has an
+        // outstanding want, peer 9 only a want (so no ledger at all).
         a.handle_message(
             SimTime::ZERO,
             peer(2),
@@ -809,7 +759,16 @@ mod tests {
             },
             &mut store,
         );
-        for p in [peer(3), peer(4)] {
+        a.handle_message(
+            SimTime::ZERO,
+            peer(9),
+            BitswapMessage::Wantlist {
+                entries: vec![WantEntry::have(cid(1))],
+                full: false,
+            },
+            &mut store,
+        );
+        for p in [peer(2), peer(3), peer(4)] {
             a.handle_message(
                 SimTime::ZERO,
                 p,
@@ -825,8 +784,9 @@ mod tests {
         let keep3 = peer(3);
         assert_eq!(a.prunable_peers(|p| *p == keep3), vec![peer(4)]);
         a.forget_peer(&peer(4));
-        a.assert_want_index_consistent();
+        a.assert_wants_consistent();
         assert_eq!(a.peer_count(), 2);
+        assert!(a.ledger(&peer(9)).is_none(), "a want alone opens no ledger");
     }
 
     #[test]
@@ -852,12 +812,7 @@ mod tests {
             },
             &mut store,
         );
-        let wants: Vec<Cid> = a
-            .ledger(&peer(2))
-            .unwrap()
-            .wants()
-            .map(|(c, _)| *c)
-            .collect();
+        let wants: Vec<Cid> = a.wants_of(&peer(2)).map(|(c, _)| c).collect();
         assert_eq!(wants, vec![c2]);
     }
 }

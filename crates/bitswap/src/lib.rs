@@ -2,10 +2,18 @@
 //!
 //! From-scratch implementation of the Bitswap mechanics the paper measures:
 //! the local 1-hop `WantHave` broadcast used for content discovery (what the
-//! monitoring nodes log), presence responses, block transfer with per-peer
-//! ledgers, and want registration so blocks are forwarded the moment they
-//! arrive. Transport, timeouts and connection management live in
-//! `ipfs-node`.
+//! monitoring nodes log), presence responses, block transfer, and want
+//! registration so blocks are forwarded the moment they arrive. Transport,
+//! timeouts and connection management live in `ipfs-node`.
+//!
+//! The engine keeps three things and nothing mirrored between them: its own
+//! fetch sessions (each with the sorted list of peers it owes a `Cancel`),
+//! one want table `Cid → [(peer, want type)]` for what *other* peers asked
+//! of it and it could not serve yet, and a [`Ledger`] — four block/byte
+//! counters — per peer a block was actually exchanged with. A `WantHave`
+//! for a missing block and the `Cancel` that follows it, which is most of
+//! what a fetch's broadcast costs every neighbour, touch the want table
+//! only.
 
 pub mod engine;
 pub mod messages;

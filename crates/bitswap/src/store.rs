@@ -1,8 +1,7 @@
 //! Block storage.
 
 use crate::messages::Block;
-use ipfs_types::Cid;
-use std::collections::HashMap;
+use ipfs_types::{Cid, FxHashMap as HashMap};
 
 /// In-memory blockstore used by every simulated node. Gateways additionally
 /// use it as their HTTP cache (§2 "HTTP Gateways": step 1 is a cache check).
@@ -59,7 +58,9 @@ impl MemoryBlockstore {
         self.bytes
     }
 
-    /// Iterate stored CIDs (reproviding walks this).
+    /// Iterate stored CIDs, in no particular order: the one caller
+    /// (reproviding) sorts what it collects, so nothing observable depends
+    /// on the map's hasher.
     pub fn cids(&self) -> impl Iterator<Item = &Cid> {
         self.blocks.keys()
     }

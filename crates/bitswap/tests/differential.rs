@@ -1,0 +1,395 @@
+//! Differential property test: the engine's one want table against the
+//! bookkeeping it replaced — a want map inside every peer's ledger plus a
+//! hand-mirrored `Cid → peers` index, and a hash set of asked peers per
+//! fetch — kept here, and only here, as the reference model.
+
+use bitswap::{
+    Bitswap, BitswapMessage, Block, BsOutput, Ledger, MemoryBlockstore, WantEntry, WantType,
+};
+use ipfs_types::{Cid, PeerId};
+use proptest::prelude::*;
+use simnet::SimTime;
+use std::collections::{HashMap, HashSet};
+
+/// The parent commit's engine, minus telemetry and accessors.
+mod reference {
+    use super::*;
+
+    #[derive(Default)]
+    pub struct RefLedger {
+        pub counters: Ledger,
+        pub wants: HashMap<Cid, WantType>,
+    }
+
+    pub struct RefSession {
+        pub asked: HashSet<PeerId>,
+        pub dont_haves: usize,
+        pub requested_from: Option<PeerId>,
+        pub done: bool,
+    }
+
+    #[derive(Default)]
+    pub struct RefEngine {
+        pub sessions: HashMap<Cid, RefSession>,
+        pub ledgers: HashMap<PeerId, RefLedger>,
+        want_index: HashMap<Cid, Vec<PeerId>>,
+    }
+
+    fn want(out: &mut BsOutput, to: PeerId, entry: WantEntry) {
+        let entries = vec![entry];
+        let msg = BitswapMessage::Wantlist {
+            entries,
+            full: false,
+        };
+        out.sends.push((to, msg));
+    }
+
+    fn sorted(asked: &HashSet<PeerId>) -> Vec<PeerId> {
+        let mut asked: Vec<PeerId> = asked.iter().copied().collect();
+        asked.sort();
+        asked
+    }
+
+    impl RefEngine {
+        pub fn start_fetch(&mut self, cid: Cid, neighbors: &[PeerId]) -> BsOutput {
+            let mut out = BsOutput::default();
+            if self.sessions.contains_key(&cid) {
+                return out;
+            }
+            let mut asked = HashSet::new();
+            for &p in neighbors {
+                asked.insert(p);
+                want(&mut out, p, WantEntry::have(cid));
+            }
+            let session = RefSession {
+                asked,
+                dont_haves: 0,
+                requested_from: None,
+                done: false,
+            };
+            self.sessions.insert(cid, session);
+            out
+        }
+
+        pub fn request_block_from(&mut self, cid: Cid, peer: PeerId) -> BsOutput {
+            let mut out = BsOutput::default();
+            let session = self.sessions.entry(cid).or_insert_with(|| RefSession {
+                asked: HashSet::new(),
+                dont_haves: 0,
+                requested_from: None,
+                done: false,
+            });
+            if session.done {
+                return out;
+            }
+            session.asked.insert(peer);
+            session.requested_from = Some(peer);
+            want(&mut out, peer, WantEntry::block(cid));
+            out
+        }
+
+        pub fn cancel_fetch(&mut self, cid: &Cid) -> BsOutput {
+            let mut out = BsOutput::default();
+            if let Some(s) = self.sessions.remove(cid) {
+                for p in sorted(&s.asked) {
+                    want(&mut out, p, WantEntry::cancel(*cid));
+                }
+            }
+            out
+        }
+
+        pub fn peer_disconnected(&mut self, peer: &PeerId) {
+            if let Some(l) = self.ledgers.get_mut(peer) {
+                for cid in l.wants.keys() {
+                    index_remove(&mut self.want_index, cid, peer);
+                }
+                l.wants.clear();
+            }
+        }
+
+        pub fn forget_peer(&mut self, peer: &PeerId) {
+            if let Some(l) = self.ledgers.remove(peer) {
+                for cid in l.wants.keys() {
+                    index_remove(&mut self.want_index, cid, peer);
+                }
+            }
+        }
+
+        pub fn prunable_peers(&self, keep: impl Fn(&PeerId) -> bool) -> Vec<PeerId> {
+            let idle = self
+                .ledgers
+                .iter()
+                .filter(|(p, l)| l.wants.is_empty() && !keep(p));
+            let mut out: Vec<PeerId> = idle.map(|(p, _)| *p).collect();
+            out.sort();
+            out
+        }
+
+        pub fn handle_message(
+            &mut self,
+            from: PeerId,
+            msg: BitswapMessage,
+            store: &mut MemoryBlockstore,
+        ) -> BsOutput {
+            match msg {
+                BitswapMessage::Wantlist { entries, full } => {
+                    self.on_wantlist(from, entries, full, store)
+                }
+                BitswapMessage::Blocks { blocks } => self.on_blocks(from, blocks, store),
+                BitswapMessage::Presence { have, dont_have } => {
+                    self.on_presence(from, have, dont_have)
+                }
+            }
+        }
+
+        fn on_wantlist(
+            &mut self,
+            from: PeerId,
+            entries: Vec<WantEntry>,
+            full: bool,
+            store: &MemoryBlockstore,
+        ) -> BsOutput {
+            let mut out = BsOutput::default();
+            let want_index = &mut self.want_index;
+            let ledger = self.ledgers.entry(from).or_default();
+            if full {
+                for cid in ledger.wants.keys() {
+                    index_remove(want_index, cid, &from);
+                }
+                ledger.wants.clear();
+            }
+            let (mut have, mut dont_have, mut blocks) = (Vec::new(), Vec::new(), Vec::new());
+            for e in entries {
+                if e.cancel {
+                    if ledger.wants.remove(&e.cid).is_some() {
+                        index_remove(want_index, &e.cid, &from);
+                    }
+                    continue;
+                }
+                match (store.get(&e.cid), e.ty) {
+                    (Some(_), WantType::Have) => have.push(e.cid),
+                    (Some(b), WantType::Block) => {
+                        blocks.push(b);
+                        ledger.counters.blocks_sent += 1;
+                        ledger.counters.bytes_sent += b.size as u64;
+                    }
+                    (None, ty) => {
+                        if e.send_dont_have {
+                            dont_have.push(e.cid);
+                        }
+                        if ledger.wants.insert(e.cid, ty).is_none() {
+                            want_index.entry(e.cid).or_default().push(from);
+                        }
+                    }
+                }
+            }
+            if !have.is_empty() || !dont_have.is_empty() {
+                let msg = BitswapMessage::Presence { have, dont_have };
+                out.sends.push((from, msg));
+            }
+            if !blocks.is_empty() {
+                out.sends.push((from, BitswapMessage::Blocks { blocks }));
+            }
+            out
+        }
+
+        fn on_blocks(
+            &mut self,
+            from: PeerId,
+            blocks: Vec<Block>,
+            store: &mut MemoryBlockstore,
+        ) -> BsOutput {
+            let mut out = BsOutput::default();
+            let ledger = self.ledgers.entry(from).or_default();
+            for b in &blocks {
+                ledger.counters.blocks_received += 1;
+                ledger.counters.bytes_received += b.size as u64;
+            }
+            for b in blocks {
+                store.put(b);
+                if let Some(s) = self.sessions.get_mut(&b.cid).filter(|s| !s.done) {
+                    s.done = true;
+                    out.received.push((b.cid, from));
+                    for p in sorted(&s.asked).into_iter().filter(|p| *p != from) {
+                        want(&mut out, p, WantEntry::cancel(b.cid));
+                    }
+                    // The one deliberate departure from the parent, which
+                    // kept the set and so cancelled a second time when a
+                    // finished fetch was `cancel_fetch`ed (no caller does).
+                    s.asked.clear();
+                }
+                let indexed = self.want_index.get(&b.cid).cloned().unwrap_or_default();
+                let mut wanters: Vec<PeerId> = indexed.into_iter().filter(|p| *p != from).collect();
+                wanters.sort();
+                for p in wanters {
+                    index_remove(&mut self.want_index, &b.cid, &p);
+                    let l = self.ledgers.get_mut(&p).expect("wanter has ledger");
+                    match l.wants.remove(&b.cid).expect("index backed by ledger") {
+                        WantType::Block => {
+                            l.counters.blocks_sent += 1;
+                            l.counters.bytes_sent += b.size as u64;
+                            out.sends
+                                .push((p, BitswapMessage::Blocks { blocks: vec![b] }));
+                        }
+                        WantType::Have => {
+                            let (have, dont_have) = (vec![b.cid], vec![]);
+                            let msg = BitswapMessage::Presence { have, dont_have };
+                            out.sends.push((p, msg));
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        fn on_presence(&mut self, from: PeerId, have: Vec<Cid>, dont_have: Vec<Cid>) -> BsOutput {
+            let mut out = BsOutput::default();
+            for cid in have {
+                let Some(s) = self.sessions.get_mut(&cid).filter(|s| !s.done) else {
+                    continue;
+                };
+                if s.requested_from.is_none() {
+                    s.requested_from = Some(from);
+                    want(&mut out, from, WantEntry::block(cid));
+                }
+            }
+            for cid in dont_have {
+                if let Some(s) = self.sessions.get_mut(&cid) {
+                    s.dont_haves += 1;
+                }
+            }
+            out
+        }
+    }
+
+    fn index_remove(index: &mut HashMap<Cid, Vec<PeerId>>, cid: &Cid, peer: &PeerId) {
+        if let Some(peers) = index.get_mut(cid) {
+            if let Some(pos) = peers.iter().position(|p| p == peer) {
+                peers.swap_remove(pos);
+            }
+            if peers.is_empty() {
+                index.remove(cid);
+            }
+        }
+    }
+}
+
+/// Two bits of `bits` at a time, as an index below 4.
+fn take2(bits: &mut u64) -> usize {
+    let v = (*bits & 3) as usize;
+    *bits >>= 2;
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn one_want_table_behaves_like_ledger_maps_plus_index(
+        // (operation, peer, bits the operation's arguments are cut from)
+        ops in proptest::collection::vec((0u8..16, 0usize..4, any::<u64>()), 1..120),
+    ) {
+        let peers: Vec<PeerId> = (0..4).map(|i| PeerId::from_seed(100 + i)).collect();
+        let cids: Vec<Cid> = (0..4).map(Cid::from_seed).collect();
+        let mut engine = Bitswap::new();
+        let mut reference = reference::RefEngine::default();
+        let (mut store, mut ref_store) = (MemoryBlockstore::new(), MemoryBlockstore::new());
+        for (step, (op, peer, mut bits)) in ops.into_iter().enumerate() {
+            let now = SimTime(step as u64);
+            let from = peers[peer];
+            let bits = &mut bits;
+            let cid = cids[take2(bits)];
+            let message = match op {
+                // Wantlist: 1–3 entries, each add or cancel, Have or Block;
+                // one in eight replaces the sender's whole list.
+                0..=5 => Some(BitswapMessage::Wantlist {
+                    entries: (0..1 + take2(bits) % 3)
+                        .map(|_| WantEntry {
+                            cid: cids[take2(bits)],
+                            ty: [WantType::Have, WantType::Block][take2(bits) % 2],
+                            cancel: take2(bits) == 0,
+                            send_dont_have: take2(bits) != 0,
+                        })
+                        .collect(),
+                    full: take2(bits) == 0 && take2(bits) < 2,
+                }),
+                6 | 7 => Some(BitswapMessage::Blocks {
+                    blocks: (0..take2(bits) % 3)
+                        .map(|_| take2(bits))
+                        .map(|i| Block { cid: cids[i], size: 10 + i as u32 })
+                        .collect(),
+                }),
+                8 | 9 => Some(BitswapMessage::Presence {
+                    have: (0..take2(bits) % 3).map(|_| cids[take2(bits)]).collect(),
+                    dont_have: (0..take2(bits) % 3).map(|_| cids[take2(bits)]).collect(),
+                }),
+                _ => None,
+            };
+            let (out, ref_out) = match (message, op) {
+                (Some(msg), _) => (
+                    engine.handle_message(now, from, msg.clone(), &mut store),
+                    reference.handle_message(from, msg, &mut ref_store),
+                ),
+                (None, 10) => {
+                    engine.peer_disconnected(&from);
+                    reference.peer_disconnected(&from);
+                    Default::default()
+                }
+                (None, 11) => {
+                    engine.forget_peer(&from);
+                    reference.forget_peer(&from);
+                    Default::default()
+                }
+                // Unsorted neighbour lists with repeats, as a caller may pass.
+                (None, 12) => {
+                    let neighbors: Vec<PeerId> =
+                        (0..take2(bits) + 1).map(|_| peers[take2(bits)]).collect();
+                    (engine.start_fetch(cid, &neighbors, now), reference.start_fetch(cid, &neighbors))
+                }
+                (None, 13) => (
+                    engine.request_block_from(cid, from, now),
+                    reference.request_block_from(cid, from),
+                ),
+                (None, 14) => (engine.cancel_fetch(&cid), reference.cancel_fetch(&cid)),
+                // Cache eviction: a block we served once is wanted again.
+                (None, _) => {
+                    prop_assert_eq!(store.remove(&cid), ref_store.remove(&cid));
+                    Default::default()
+                }
+            };
+            prop_assert_eq!(&out.sends, &ref_out.sends, "step {}: sends", step);
+            prop_assert_eq!(&out.received, &ref_out.received, "step {}: received", step);
+
+            engine.assert_wants_consistent();
+            for p in &peers {
+                let mut wants: Vec<(Cid, WantType)> = engine.wants_of(p).collect();
+                wants.sort_by_key(|(c, _)| *c);
+                let ref_ledger = reference.ledgers.get(p);
+                let mut ref_wants: Vec<(Cid, WantType)> = ref_ledger
+                    .map(|l| l.wants.iter().map(|(c, t)| (*c, *t)).collect())
+                    .unwrap_or_default();
+                ref_wants.sort_by_key(|(c, _)| *c);
+                prop_assert_eq!(wants, ref_wants, "step {}: wants of {:?}", step, p);
+                // A ledger is now only the account of blocks moved: a peer
+                // that only ever sent wants has none.
+                let moved = ref_ledger.map(|l| &l.counters).filter(|c| **c != Ledger::default());
+                prop_assert_eq!(engine.ledger(p), moved, "step {}: ledger of {:?}", step, p);
+            }
+            let keep = |p: &PeerId| *p == peers[step % 4];
+            let mut ref_prunable = reference.prunable_peers(keep);
+            ref_prunable.retain(|p| engine.ledger(p).is_some());
+            prop_assert_eq!(engine.prunable_peers(keep), ref_prunable, "step {}", step);
+            prop_assert_eq!(engine.peer_count(), peers.iter().filter(|p| engine.ledger(p).is_some()).count());
+
+            for c in &cids {
+                let (s, r) = (engine.session(c), reference.sessions.get(c));
+                prop_assert_eq!(s.is_some(), r.is_some(), "step {}: session", step);
+                let (Some(s), Some(r)) = (s, r) else { continue };
+                prop_assert_eq!((s.done, s.dont_haves, s.requested_from), (r.done, r.dont_haves, r.requested_from));
+                let mut asked: Vec<PeerId> = r.asked.iter().copied().collect();
+                asked.sort();
+                prop_assert_eq!(&s.asked, &asked, "step {}: asked", step);
+            }
+        }
+    }
+}

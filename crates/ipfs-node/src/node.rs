@@ -1425,10 +1425,10 @@ impl IpfsNode {
 
     fn connmgr_tick<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>) {
         self.dht.providers_mut().cleanup(ctx.now());
-        // Drop empty Bitswap ledgers for peers we are no longer connected
-        // to. Their want-index entries were purged on disconnect; the
-        // ledger shells themselves are pure memory growth under sustained
-        // churn. Emits no events, so this is digest-neutral.
+        // Drop Bitswap ledgers of peers we are no longer connected to.
+        // Their wants were purged on disconnect; the block counters alone
+        // are pure memory growth under sustained churn. Emits no events,
+        // so this is digest-neutral.
         let stale = self
             .bitswap
             .prunable_peers(|p| self.conn_by_peer.contains_key(p));

@@ -2,7 +2,8 @@
 //!
 //! Records expire after a TTL (24 h in the go-ipfs versions the paper
 //! measured; providers re-publish every 12 h). Expiry is enforced lazily on
-//! read plus via an explicit `cleanup` for long-running servers.
+//! read plus via an explicit `cleanup` for long-running servers, which
+//! scans only once the oldest record can have expired.
 
 use crate::messages::ProviderRecord;
 use ipfs_types::FxHashMap as HashMap;
@@ -33,6 +34,10 @@ impl Default for ProviderStoreConfig {
 pub struct ProviderStore {
     cfg: ProviderStoreConfig,
     map: HashMap<Key256, Vec<ProviderRecord>>,
+    /// No stored record has an earlier `stored_at`. A lower bound, not the
+    /// minimum: removals and refreshes leave it alone, `cleanup`'s scan
+    /// makes it exact again.
+    oldest: SimTime,
 }
 
 impl ProviderStore {
@@ -41,12 +46,18 @@ impl ProviderStore {
         ProviderStore {
             cfg,
             map: HashMap::default(),
+            oldest: SimTime::ZERO,
         }
     }
 
     /// Store (or refresh) a record at `now`.
     pub fn add(&mut self, mut record: ProviderRecord, now: SimTime) {
         record.stored_at = now;
+        self.oldest = if self.map.is_empty() {
+            now
+        } else {
+            self.oldest.min(now)
+        };
         let key = record.cid.dht_key();
         let slot = self.map.entry(key).or_default();
         if let Some(existing) = slot
@@ -85,13 +96,20 @@ impl ProviderStore {
         out
     }
 
-    /// Drop every expired record (periodic GC).
+    /// Drop every expired record (periodic GC). Free while nothing can have
+    /// expired, which on a 5-minute tick against a 24 h TTL is nearly always.
     pub fn cleanup(&mut self, now: SimTime) {
         let ttl = self.cfg.ttl;
+        if now.since(self.oldest) <= ttl {
+            return;
+        }
+        let mut oldest = now;
         self.map.retain(|_, slot| {
             slot.retain(|r| now.since(r.stored_at) <= ttl);
+            oldest = slot.iter().map(|r| r.stored_at).fold(oldest, SimTime::min);
             !slot.is_empty()
         });
+        self.oldest = oldest;
     }
 
     /// Number of keys with at least one (possibly expired) record.

@@ -1,7 +1,11 @@
-//! Property tests for routing-table invariants and lookup convergence.
+//! Property tests for routing-table invariants, lookup convergence and the
+//! provider store's expiry.
 
-use ipfs_types::{Key256, PeerId};
-use kademlia::{Lookup, LookupConfig, LookupKind, PeerInfo, RoutingTable, TableConfig};
+use ipfs_types::{Cid, Key256, PeerId};
+use kademlia::{
+    Lookup, LookupConfig, LookupKind, PeerInfo, ProviderRecord, ProviderStore, ProviderStoreConfig,
+    RoutingTable, TableConfig,
+};
 use proptest::prelude::*;
 use simnet::{Dur, NodeId, SimTime};
 
@@ -13,8 +17,122 @@ fn info(seed: u64) -> PeerInfo {
     }
 }
 
+/// What `ProviderStore` did before `cleanup` learnt to skip the scan: the
+/// same slots and the same eviction, every `cleanup` a full walk.
+#[derive(Clone)]
+struct AlwaysScanStore {
+    cfg: ProviderStoreConfig,
+    slots: Vec<(Key256, Vec<ProviderRecord>)>,
+}
+
+impl AlwaysScanStore {
+    fn add(&mut self, mut record: ProviderRecord, now: SimTime) {
+        record.stored_at = now;
+        let key = record.cid.dht_key();
+        let at = self.slots.iter().position(|(k, _)| *k == key);
+        let at = at.unwrap_or_else(|| {
+            self.slots.push((key, Vec::new()));
+            self.slots.len() - 1
+        });
+        let slot = &mut self.slots[at].1;
+        if let Some(existing) = slot
+            .iter_mut()
+            .find(|r| r.provider == record.provider && r.cid == record.cid)
+        {
+            *existing = record;
+            return;
+        }
+        if slot.len() >= self.cfg.max_per_key {
+            let oldest = (0..slot.len()).min_by_key(|i| slot[*i].stored_at);
+            slot.remove(oldest.expect("full slot"));
+        }
+        slot.push(record);
+    }
+
+    fn cleanup(&mut self, now: SimTime) {
+        let ttl = self.cfg.ttl;
+        for (_, slot) in &mut self.slots {
+            slot.retain(|r| now.since(r.stored_at) <= ttl);
+        }
+        self.slots.retain(|(_, slot)| !slot.is_empty());
+    }
+
+    fn get(&mut self, cid: &Cid, now: SimTime) -> Vec<ProviderRecord> {
+        let key = cid.dht_key();
+        let ttl = self.cfg.ttl;
+        for (_, slot) in self.slots.iter_mut().filter(|(k, _)| *k == key) {
+            slot.retain(|r| now.since(r.stored_at) <= ttl);
+        }
+        self.slots.retain(|(_, slot)| !slot.is_empty());
+        let live = self.slots.iter().filter(|(k, _)| *k == key);
+        live.flat_map(|(_, slot)| slot.iter().filter(|r| r.cid == *cid).cloned())
+            .collect()
+    }
+
+    fn raw_record_count(&self) -> usize {
+        self.slots.iter().map(|(_, slot)| slot.len()).sum()
+    }
+
+    fn record_count(&self, now: SimTime) -> usize {
+        let live = |r: &&ProviderRecord| now.since(r.stored_at) <= self.cfg.ttl;
+        self.slots
+            .iter()
+            .map(|(_, slot)| slot.iter().filter(live).count())
+            .sum()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn provider_store_cleanup_matches_always_scanning(
+        // (operation, content, provider, clock step)
+        ops in proptest::collection::vec((0u8..8, 0usize..5, 0u64..6, 0usize..6), 1..300),
+    ) {
+        // v0/v1 twins share a DHT key, so one slot can hold two CIDs.
+        let cids: Vec<Cid> = (0..5)
+            .map(|i| {
+                let v0 = Cid::new_v0(&[i as u8 / 2]);
+                if i % 2 == 0 { v0 } else { Cid { version: ipfs_types::CidVersion::V1, ..v0 } }
+            })
+            .collect();
+        let cfg = ProviderStoreConfig { ttl: Dur::from_hours(24), max_per_key: 3 };
+        let mut store = ProviderStore::new(cfg);
+        let mut reference = AlwaysScanStore { cfg, slots: Vec::new() };
+        let steps = [0, 1, 5 * 60, 3600, 9 * 3600, 25 * 3600].map(Dur::from_secs);
+        let mut now = SimTime::ZERO;
+        for (op, content, provider, step) in ops {
+            now += steps[step];
+            let cid = cids[content];
+            match op {
+                0..=3 => {
+                    let record = ProviderRecord {
+                        cid,
+                        provider: PeerId::from_seed(provider),
+                        addrs: kademlia::no_addrs(),
+                        endpoint: NodeId(provider as u32),
+                        relay_endpoint: None,
+                        stored_at: SimTime::ZERO,
+                    };
+                    store.add(record.clone(), now);
+                    reference.add(record, now);
+                }
+                4 | 5 => {
+                    store.cleanup(now);
+                    reference.cleanup(now);
+                }
+                6 => prop_assert_eq!(store.get(&cid, now), reference.get(&cid, now)),
+                _ => {} // the clock alone moved
+            }
+            prop_assert_eq!(store.raw_record_count(), reference.raw_record_count());
+            prop_assert_eq!(store.record_count(now), reference.record_count(now));
+            // `get` prunes what it reads: look, on copies, without touching.
+            for cid in &cids {
+                prop_assert_eq!(store.clone().get(cid, now), reference.clone().get(cid, now));
+            }
+        }
+    }
 
     #[test]
     fn table_invariants_hold_under_any_insert_sequence(
