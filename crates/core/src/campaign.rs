@@ -8,7 +8,7 @@
 //! actors in place of regular nodes.
 
 use crate::actors::{EcoActor, EcoCmd, Frontend, ReplayDriver, WebUser};
-use crate::crawler::{CrawlSnapshot, Crawler, CrawlerCmd, CrawlerConfig};
+use crate::crawler::{CrawlSnapshot, Crawler, CrawlerCmd};
 use crate::hydra::{Hydra, HydraConfig, HydraLogEntry};
 use ipfs_node::{BitswapLogEntry, IpfsNode, NodeCmd, NodeConfig, NodeEvent};
 use ipfs_types::{Cid, Keypair, PeerId};
@@ -206,7 +206,6 @@ impl Campaign {
                     HydraConfig {
                         heads: scenario.cfg.hydra_heads,
                         seed_base: 0x1D7A_0000 + ((i as u64) << 8),
-                        ..Default::default()
                     },
                     bootstrap.clone(),
                 );
@@ -304,7 +303,7 @@ impl Campaign {
         );
 
         let crawler = sim.add_node_in(
-            EcoActor::Crawler(Box::new(Crawler::new(CrawlerConfig::default()))),
+            EcoActor::Crawler(Box::<Crawler>::default()),
             NodeSetup::public(Ipv4Addr::new(198, 18, 0, 2)),
             placement.shard_of[tools_base + 1],
         );
@@ -519,7 +518,7 @@ impl Campaign {
     pub fn crawl(&mut self, max_wait: Dur) -> usize {
         self.crawl_seq += 1;
         let seeds = self.bootstrap_pairs();
-        let started = self.sim.core().now();
+        let started = self.sim.now();
         self.sim.schedule_command(
             started,
             self.crawler,
@@ -531,7 +530,7 @@ impl Campaign {
         let deadline = started + max_wait;
         loop {
             self.sim.run_for(Dur::from_secs(10));
-            let now = self.sim.core().now();
+            let now = self.sim.now();
             let crawler = self.sim.actor_mut(self.crawler).crawler_mut();
             if !crawler.is_active() {
                 break;
@@ -544,7 +543,7 @@ impl Campaign {
         let snap = self.sim.actor(self.crawler).crawler().snapshots.len() - 1;
         telemetry::flight::span(
             started.0,
-            self.sim.core().now().0.saturating_sub(started.0),
+            self.sim.now().0.saturating_sub(started.0),
             "crawl",
             format!("crawl-{}", self.crawl_seq),
             self.snapshots()[snap].peers.len() as u64,
@@ -608,7 +607,7 @@ impl Campaign {
         exhaustive: bool,
         spacing: Dur,
     ) -> Vec<ResolvedProviders> {
-        let t0 = self.sim.core().now();
+        let t0 = self.sim.now();
         telemetry::flight::span(
             t0.0,
             0,
@@ -675,6 +674,6 @@ impl Campaign {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.core().now()
+        self.sim.now()
     }
 }

@@ -16,30 +16,15 @@ use serde::{Deserialize, Serialize};
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::net::Ipv4Addr;
 
-/// Crawler tuning.
-#[derive(Clone, Debug)]
-pub struct CrawlerConfig {
-    /// Per-request timeout.
-    pub rpc_timeout: Dur,
-    /// Bucket sweeps stop after this many consecutive queries with no new
-    /// peers for the target.
-    pub empty_streak: u32,
-    /// Hard cap on sweep depth per peer.
-    pub max_cpl: u32,
-    /// Identity seed for the crawler's own keypair.
-    pub identity_seed: u64,
-}
-
-impl Default for CrawlerConfig {
-    fn default() -> Self {
-        CrawlerConfig {
-            rpc_timeout: Dur::from_secs(10),
-            empty_streak: 3,
-            max_cpl: 24,
-            identity_seed: 0xC4A817,
-        }
-    }
-}
+/// Per-request timeout.
+const RPC_TIMEOUT: Dur = Dur::from_secs(10);
+/// Bucket sweeps stop after this many consecutive queries with no new
+/// peers for the target.
+const EMPTY_STREAK: u32 = 3;
+/// Hard cap on sweep depth per peer.
+const MAX_CPL: u32 = 24;
+/// Identity seed for the crawler's own keypair.
+const IDENTITY_SEED: u64 = 0xC4A817;
 
 /// One peer observed in a crawl.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +102,6 @@ pub enum CrawlerCmd {
 /// The crawler actor.
 #[derive(Clone)]
 pub struct Crawler {
-    cfg: CrawlerConfig,
     my_id: PeerId,
     crawl_id: u64,
     started: SimTime,
@@ -134,12 +118,17 @@ pub struct Crawler {
     pub snapshots: Vec<CrawlSnapshot>,
 }
 
+impl Default for Crawler {
+    fn default() -> Self {
+        Crawler::new()
+    }
+}
+
 impl Crawler {
     /// Fresh crawler.
-    pub fn new(cfg: CrawlerConfig) -> Crawler {
-        let my_id = ipfs_types::Keypair::from_seed(cfg.identity_seed).peer_id();
+    pub fn new() -> Crawler {
+        let my_id = ipfs_types::Keypair::from_seed(IDENTITY_SEED).peer_id();
         Crawler {
-            cfg,
             my_id,
             crawl_id: 0,
             started: SimTime::ZERO,
@@ -253,7 +242,7 @@ impl Crawler {
         if t.done || t.outstanding.is_some() {
             return;
         }
-        if t.next_cpl > self.cfg.max_cpl || t.empty_streak >= self.cfg.empty_streak {
+        if t.next_cpl > MAX_CPL || t.empty_streak >= EMPTY_STREAK {
             t.done = true;
             self.check_done(ctx.now());
             return;
@@ -272,7 +261,7 @@ impl Crawler {
         };
         if ctx.send(endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, peer);
-            ctx.set_timer(self.cfg.rpc_timeout, req_id);
+            ctx.set_timer(RPC_TIMEOUT, req_id);
         } else {
             // Connection raced shut; retry via dial.
             if let Some(t) = self.targets.get_mut(&peer) {

@@ -42,22 +42,18 @@ pub struct HydraConfig {
     pub heads: usize,
     /// Identity seed base for the heads.
     pub seed_base: u64,
-    /// Per-query timeout for proactive lookups.
-    pub rpc_timeout: Dur,
-    /// Cap on concurrently running proactive lookups.
-    pub max_proactive: usize,
-    /// Disable the proactive cache-fill (ablation knob).
-    pub proactive: bool,
 }
+
+/// Per-query timeout for proactive lookups.
+const RPC_TIMEOUT: Dur = Dur::from_secs(10);
+/// Cap on concurrently running proactive lookups.
+const MAX_PROACTIVE: usize = 64;
 
 impl Default for HydraConfig {
     fn default() -> Self {
         HydraConfig {
             heads: 20,
             seed_base: 0x1D7A_0000,
-            rpc_timeout: Dur::from_secs(10),
-            max_proactive: 64,
-            proactive: true,
         }
     }
 }
@@ -65,7 +61,6 @@ impl Default for HydraConfig {
 /// The Hydra-booster actor.
 #[derive(Clone)]
 pub struct Hydra {
-    cfg: HydraConfig,
     /// Virtual peer IDs.
     pub heads: Vec<PeerId>,
     /// Agent string every identify shares.
@@ -108,7 +103,6 @@ impl Hydra {
             log: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
-            cfg,
         }
     }
 
@@ -265,7 +259,7 @@ impl Hydra {
                 if cached.is_empty() {
                     self.cache_misses += 1;
                     // Proactive cache fill: the amplification behaviour.
-                    if self.cfg.proactive && self.lookups.len() < self.cfg.max_proactive {
+                    if self.lookups.len() < MAX_PROACTIVE {
                         self.start_proactive(ctx, cid);
                     }
                 } else {
@@ -364,7 +358,7 @@ impl Hydra {
         };
         if ctx.send(info.endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, (lookup_id, info.clone()));
-            ctx.set_timer(self.cfg.rpc_timeout, req_id);
+            ctx.set_timer(RPC_TIMEOUT, req_id);
         } else if let Some(l) = self.lookups.get_mut(&lookup_id) {
             l.on_failure(&info.id);
         }

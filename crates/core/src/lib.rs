@@ -29,7 +29,7 @@ pub use counting::{
     an_cloud_status, an_count, dataset_stats, gip_count, majority_label, shares, CloudStatus,
     DatasetStats,
 };
-pub use crawler::{CrawlSnapshot, CrawledPeer, Crawler, CrawlerCmd, CrawlerConfig};
+pub use crawler::{CrawlSnapshot, CrawledPeer, Crawler, CrawlerCmd};
 pub use dataset::{
     bitswap_log_to_jsonl, hydra_log_to_jsonl, read_jsonl, snapshots_from_jsonl, snapshots_to_jsonl,
     write_jsonl, BitswapLogRecord,

@@ -57,7 +57,7 @@ fn forked_crawl_does_not_perturb_subsequent_trace() {
     // Observed run: crawl + probe traffic happens on a fork at T+6h.
     let mut observed = campaign(29, 1);
     observed.run_for(Dur::from_hours(6));
-    let mid_digest = observed.sim.core().trace_digest();
+    let mid_digest = observed.sim.trace_digest();
     let snap = observed.with_fork(|fork| {
         let idx = fork.crawl(Dur::from_mins(40));
         // Drive the fork further so divergence would have time to leak.
@@ -66,7 +66,7 @@ fn forked_crawl_does_not_perturb_subsequent_trace() {
     });
     assert!(snap.peer_count() > 0, "fork crawl found peers");
     assert_eq!(
-        observed.sim.core().trace_digest(),
+        observed.sim.trace_digest(),
         mid_digest,
         "restoring the fork must restore the digest exactly"
     );
@@ -77,13 +77,13 @@ fn forked_crawl_does_not_perturb_subsequent_trace() {
     control.run_for(Dur::from_hours(10));
 
     assert_eq!(
-        observed.sim.core().trace_digest(),
-        control.sim.core().trace_digest(),
+        observed.sim.trace_digest(),
+        control.sim.trace_digest(),
         "a forked crawl must not alter the trace of subsequent events"
     );
     assert_eq!(
-        observed.sim.core().stats.events,
-        control.sim.core().stats.events,
+        observed.sim.stats().events,
+        control.sim.stats().events,
         "event counts must match an unobserved run"
     );
 }
@@ -103,7 +103,7 @@ fn crawl_fork_does_not_clone_owner_columns() {
     let before = c.sim.state_bytes();
     assert!(before.owned_bytes > 0, "main engine owns its columns");
     assert_eq!(before.shared_bytes, 0, "no fork alive yet");
-    let mid_digest = c.sim.core().trace_digest();
+    let mid_digest = c.sim.trace_digest();
     c.with_fork(|fork| {
         let at_fork = fork.sim.state_bytes();
         assert_eq!(
@@ -128,7 +128,7 @@ fn crawl_fork_does_not_clone_owner_columns() {
         "dropping the fork returns exclusive ownership to the main engine"
     );
     assert_eq!(
-        c.sim.core().trace_digest(),
+        c.sim.trace_digest(),
         mid_digest,
         "cheap fork is still perfectly isolated"
     );

@@ -84,7 +84,7 @@ pub fn collect(cfg: ScenarioConfig, n_crawls: usize) -> CrawlData {
         snaps,
         dbs,
         n_cloud_planted,
-        engine: campaign.sim.core().stats.clone(),
+        engine: campaign.sim.stats(),
         loads: campaign.sim.shard_loads(),
         digest: campaign.sim.trace_digest(),
         wall_secs: started.elapsed().as_secs_f64(),

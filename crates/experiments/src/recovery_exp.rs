@@ -169,7 +169,7 @@ fn run_entry(scale: Scale, seed: u64, entry: &SweepEntry, shards: usize) -> Entr
         removed,
         partitioned,
         population,
-        digest: campaign.sim.core().trace_digest(),
+        digest: campaign.sim.trace_digest(),
     }
 }
 

@@ -132,7 +132,7 @@ impl Report {
 /// `wall_secs` is the host wall-clock time the campaign took; pass `0.0`
 /// when unknown. `loads` carries the per-shard budget (owned nodes,
 /// dispatched events, measured state-byte split from
-/// [`simnet::SimCore::state_bytes`]); shard-layout-dependent, so it is
+/// [`simnet::Sim::state_bytes`]); shard-layout-dependent, so it is
 /// rendered as notes rather than table rows.
 pub fn engine_report(
     id: &str,

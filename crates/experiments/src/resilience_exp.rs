@@ -182,7 +182,7 @@ fn run_row(
         pre,
         post,
         healed,
-        digest: campaign.sim.core().trace_digest(),
+        digest: campaign.sim.trace_digest(),
     }
 }
 

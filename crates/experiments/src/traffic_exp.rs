@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use tcsb_core::{
     cid_cloud_stats, classify_provider, days_seen_histogram, lorenz_curve, share_of_top, Campaign,
-    CampaignOptions, EcoCmd, ProviderClass,
+    CampaignOptions, EcoCmd, HydraLogEntry, ProviderClass,
 };
 
 const PROBE_SEED: u64 = 0x6A7E_0000_0000;
@@ -22,6 +22,10 @@ pub struct WorkloadData {
     pub campaign: Campaign,
     /// Gateway overlay peers discovered by probing: `(gateway idx, peer, ip)`.
     pub overlays: Vec<(usize, PeerId, Ipv4Addr)>,
+    /// Every Hydra host's request log, merged and time-sorted once at the
+    /// end of the main campaign (what figs 9–13 read; provider resolutions
+    /// that later advance the live campaign are not in it).
+    pub hydra_log: Vec<HydraLogEntry>,
     /// Engine counters snapshotted at the end of the main campaign, so the
     /// engine report stays comparable run-over-run no matter how much
     /// extra simulation later figures drive through the live campaign.
@@ -98,9 +102,10 @@ pub fn run_workload(cfg: ScenarioConfig) -> WorkloadData {
             }
         }
     }
-    let engine = campaign.sim.core().stats.clone();
+    let engine = campaign.sim.stats();
     let loads = campaign.sim.shard_loads();
     WorkloadData {
+        hydra_log: campaign.hydra_log(),
         campaign,
         overlays: overlays.into_iter().collect(),
         engine,
@@ -128,7 +133,7 @@ fn is_cloud(data: &WorkloadData) -> impl Fn(Ipv4Addr) -> bool + '_ {
 
 /// Fig. 9: request frequency per identifier, in days seen.
 pub fn fig09(data: &WorkloadData) -> Report {
-    let log = data.campaign.hydra_log();
+    let log = &data.hydra_log;
     let day = |ns: u64| ns / Dur::DAY.0;
     let cid_hist = days_seen_histogram(log.iter().filter_map(|e| e.cid.map(|c| (c, day(e.ts_ns)))));
     let ip_hist = days_seen_histogram(log.iter().map(|e| (*e.addr.ip(), day(e.ts_ns))));
@@ -159,7 +164,7 @@ pub fn fig09(data: &WorkloadData) -> Report {
 pub fn fig10(data: &WorkloadData) -> Report {
     let dht_counts: BTreeMap<PeerId, u64> = {
         let mut m = BTreeMap::new();
-        for e in data.campaign.hydra_log() {
+        for e in &data.hydra_log {
             *m.entry(e.peer).or_insert(0) += 1;
         }
         m
@@ -220,7 +225,7 @@ pub fn fig10(data: &WorkloadData) -> Report {
 pub fn fig11(data: &WorkloadData) -> Report {
     let cloud = is_cloud(data);
     let mut dht_ips: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
-    for e in data.campaign.hydra_log() {
+    for e in &data.hydra_log {
         *dht_ips.entry(*e.addr.ip()).or_insert(0) += 1;
     }
     let mut bs_ips: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
@@ -267,7 +272,7 @@ pub fn fig11(data: &WorkloadData) -> Report {
 /// Fig. 12: cloud share per traffic type, by IP count and by volume.
 pub fn fig12(data: &WorkloadData) -> Report {
     let cloud = is_cloud(data);
-    let log = data.campaign.hydra_log();
+    let log = &data.hydra_log;
     let mut per_class_ips: HashMap<TrafficClass, HashSet<Ipv4Addr>> = HashMap::new();
     let mut per_class_msgs: HashMap<TrafficClass, (u64, u64)> = HashMap::new(); // (cloud, all)
     let mut all_ips: HashSet<Ipv4Addr> = HashSet::new();
@@ -393,7 +398,7 @@ pub fn fig12(data: &WorkloadData) -> Report {
 /// peer-ID set.
 pub fn fig13(data: &WorkloadData) -> Report {
     let heads: HashSet<PeerId> = data.campaign.hydra_heads().into_iter().collect();
-    let log = data.campaign.hydra_log();
+    let log = &data.hydra_log;
     let dbs = &data.campaign.scenario.dbs;
     let bucket_of = |ip: Ipv4Addr, peer: &PeerId| -> String {
         if heads.contains(peer) {

@@ -43,6 +43,16 @@ mod tok {
     }
 }
 
+/// Per-RPC timeout.
+const RPC_TIMEOUT: Dur = Dur::from_secs(10);
+/// How long to wait on the Bitswap 1-hop broadcast before falling back to
+/// the DHT.
+const BITSWAP_PHASE_TIMEOUT: Dur = Dur::from_secs(2);
+/// Overall fetch deadline.
+const FETCH_TIMEOUT: Dur = Dur::from_mins(2);
+/// Providers dialled per DHT-resolved fetch.
+const MAX_FETCH_PROVIDERS: usize = 3;
+
 /// Node configuration. Defaults mirror the go-ipfs v0.11-era behaviour the
 /// paper measured, scaled knobs are overridden by `netgen`.
 #[derive(Clone, Debug)]
@@ -75,13 +85,6 @@ pub struct NodeConfig {
     pub reprovide_interval: Dur,
     /// CIDs re-advertised per reprovide burst.
     pub reprovide_batch: usize,
-    /// Per-RPC timeout.
-    pub rpc_timeout: Dur,
-    /// How long to wait on the Bitswap 1-hop broadcast before falling back
-    /// to the DHT.
-    pub bitswap_phase_timeout: Dur,
-    /// Overall fetch deadline.
-    pub fetch_timeout: Dur,
     /// Bucket-refresh cadence (`Dur::ZERO` disables).
     pub refresh_interval: Dur,
     /// Routing-table usefulness timeout: entries silent for longer are
@@ -89,16 +92,12 @@ pub struct NodeConfig {
     pub table_entry_ttl: Dur,
     /// Connection-manager cadence.
     pub connmgr_interval: Dur,
-    /// Serve circuit-relay reservations (public nodes).
-    pub relay_server: bool,
     /// Gateway overlay node (serves `HttpRequest`).
     pub is_gateway: bool,
     /// Log incoming Bitswap wantlists (monitor behaviour).
     pub log_bitswap: bool,
     /// Record [`NodeEvent`]s (tests/tools; off for bulk population).
     pub record_events: bool,
-    /// Providers dialled per DHT-resolved fetch.
-    pub max_fetch_providers: usize,
     /// Extra addresses announced besides the primary (multihoming).
     pub extra_addrs: Vec<SocketAddrV4>,
     /// DHT parameters.
@@ -121,17 +120,12 @@ impl NodeConfig {
             provide_on_fetch: true,
             reprovide_interval: Dur::from_hours(12),
             reprovide_batch: 16,
-            rpc_timeout: Dur::from_secs(10),
-            bitswap_phase_timeout: Dur::from_secs(2),
-            fetch_timeout: Dur::from_mins(2),
             refresh_interval: Dur::from_hours(2),
             table_entry_ttl: Dur::from_hours(2),
             connmgr_interval: Dur::from_mins(5),
-            relay_server: true,
             is_gateway: false,
             log_bitswap: false,
             record_events: false,
-            max_fetch_providers: 3,
             extra_addrs: Vec::new(),
             dht: DhtConfig::server(),
         }
@@ -867,7 +861,7 @@ impl IpfsNode {
                     lookup,
                 },
             );
-            self.set_timer(ctx, self.cfg.rpc_timeout, tok::RPC, req_id);
+            self.set_timer(ctx, RPC_TIMEOUT, tok::RPC, req_id);
         } else {
             self.dht.lookup_failure(lookup, &info.id);
             self.drive_lookup(ctx, lookup);
@@ -886,15 +880,11 @@ impl IpfsNode {
     fn drive_lookup<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, lookup: u64) {
         let queries = self.dht.lookup_next_queries(lookup);
         for info in queries {
-            if ctx.is_connected(info.endpoint) {
-                self.send_query(ctx, lookup, &info);
-            } else {
-                self.ensure_dial(
-                    ctx,
-                    info.endpoint,
-                    Some(PostDial::LookupQuery { lookup, info }),
-                );
-            }
+            self.ensure_dial(
+                ctx,
+                info.endpoint,
+                Some(PostDial::LookupQuery { lookup, info }),
+            );
         }
         if let Some(result) = self.dht.lookup_take_result(lookup) {
             self.finish_lookup(ctx, lookup, result);
@@ -921,51 +911,31 @@ impl IpfsNode {
             }
             return;
         };
-        let Some(op) = self.ops.remove(&op_id) else {
+        let Some(op) = self.ops.get(&op_id) else {
             return;
         };
-        match op {
+        match *op {
             Op::Provide { cid } => {
+                self.ops.remove(&op_id);
                 let record = self.provider_record(ctx, cid);
                 let resolvers = result.closest.len();
                 for peer in result.closest {
-                    if ctx.is_connected(peer.endpoint) {
-                        let msg = self.dht_request_msg(
-                            ctx,
-                            DhtRequest::AddProvider {
-                                record: record.clone(),
-                            },
-                        );
-                        ctx.send(peer.endpoint, WireMsg::Dht(msg));
-                    } else {
-                        self.ensure_dial(
-                            ctx,
-                            peer.endpoint,
-                            Some(PostDial::AddProvider {
-                                record: record.clone(),
-                            }),
-                        );
-                    }
+                    self.ensure_dial(
+                        ctx,
+                        peer.endpoint,
+                        Some(PostDial::AddProvider {
+                            record: record.clone(),
+                        }),
+                    );
                 }
                 self.record(NodeEvent::Provided { cid, resolvers });
             }
-            Op::Fetch {
-                cid,
-                replies,
-                via_dht,
-            } => {
-                // DHT resolution finished: dial providers, request the block.
-                self.ops.insert(
-                    op_id,
-                    Op::Fetch {
-                        cid,
-                        replies,
-                        via_dht,
-                    },
-                );
+            Op::Fetch { cid, .. } => {
+                // DHT resolution finished: dial providers, request the
+                // block. The op stays registered until the fetch ends.
                 let mut dialled = 0;
                 for rec in &result.providers {
-                    if rec.provider == self.id || dialled >= self.cfg.max_fetch_providers {
+                    if rec.provider == self.id || dialled >= MAX_FETCH_PROVIDERS {
                         continue;
                     }
                     dialled += 1;
@@ -985,6 +955,7 @@ impl IpfsNode {
                 }
             }
             Op::Resolve { cid, started } => {
+                self.ops.remove(&op_id);
                 self.record(NodeEvent::ProvidersResolved {
                     cid,
                     records: result.providers.clone(),
@@ -1096,8 +1067,8 @@ impl IpfsNode {
         let neighbors = self.neighbors.as_deref().expect("built above");
         let out = self.bitswap.start_fetch(cid, neighbors, ctx.now());
         self.flush_bitswap(ctx, out);
-        self.set_timer(ctx, self.cfg.bitswap_phase_timeout, tok::FETCH_BS, op_id);
-        self.set_timer(ctx, self.cfg.fetch_timeout, tok::FETCH_ALL, op_id);
+        self.set_timer(ctx, BITSWAP_PHASE_TIMEOUT, tok::FETCH_BS, op_id);
+        self.set_timer(ctx, FETCH_TIMEOUT, tok::FETCH_ALL, op_id);
     }
 
     fn fail_fetch<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, op_id: u64) {
@@ -1248,7 +1219,8 @@ impl IpfsNode {
                 self.flush_bitswap(ctx, out);
             }
             WireMsg::RelayReserve { from: peer } => {
-                let accepted = self.cfg.relay_server && self.dht.is_server();
+                // Every DHT server serves circuit-relay reservations.
+                let accepted = self.dht.is_server();
                 if accepted {
                     self.relay_clients.insert(from);
                 }
@@ -1360,18 +1332,12 @@ impl IpfsNode {
             }
             tok::FETCH_BS => {
                 // Bitswap phase expired without the block: fall back to DHT.
-                if let Some(Op::Fetch { cid, replies, .. }) = self.ops.get(&low).cloned() {
+                if let Some(Op::Fetch { cid, via_dht, .. }) = self.ops.get_mut(&low) {
+                    let cid = *cid;
                     if self.store.has(&cid) {
                         return;
                     }
-                    self.ops.insert(
-                        low,
-                        Op::Fetch {
-                            cid,
-                            replies,
-                            via_dht: true,
-                        },
-                    );
+                    *via_dht = true;
                     let lookup = self.dht.start_lookup(
                         cid.dht_key(),
                         Some(cid),

@@ -62,11 +62,7 @@ fn publish_then_fetch_via_dht() {
     let cid = Cid::from_seed(777);
     // Node 5 publishes; node 17 fetches (no prior Bitswap relationship —
     // must go through DHT provider records).
-    sim.schedule_command(
-        sim.core().now(),
-        ids[5],
-        NodeCmd::Publish { cid, size: 4096 },
-    );
+    sim.schedule_command(sim.now(), ids[5], NodeCmd::Publish { cid, size: 4096 });
     sim.run_for(Dur::from_mins(2));
     // The publisher registered records at resolvers.
     let provided = sim.actor(ids[5]).0.events.iter().any(
@@ -78,7 +74,7 @@ fn publish_then_fetch_via_dht() {
         sim.actor(ids[5]).0.events
     );
 
-    sim.schedule_command(sim.core().now(), ids[17], NodeCmd::Fetch { cid });
+    sim.schedule_command(sim.now(), ids[17], NodeCmd::Fetch { cid });
     sim.run_for(Dur::from_mins(3));
     let fetched = sim
         .actor(ids[17])
@@ -99,15 +95,11 @@ fn fetch_via_bitswap_neighbors_skips_dht() {
     let (mut sim, ids) = build_network(10, 3);
     sim.run_for(Dur::from_mins(5));
     let cid = Cid::from_seed(42);
-    sim.schedule_command(
-        sim.core().now(),
-        ids[3],
-        NodeCmd::Publish { cid, size: 100 },
-    );
+    sim.schedule_command(sim.now(), ids[3], NodeCmd::Publish { cid, size: 100 });
     sim.run_for(Dur::from_mins(1));
     // In a 10-node network everyone is connected to everyone after
     // bootstrap, so the 1-hop broadcast finds the block.
-    sim.schedule_command(sim.core().now(), ids[7], NodeCmd::Fetch { cid });
+    sim.schedule_command(sim.now(), ids[7], NodeCmd::Fetch { cid });
     sim.run_for(Dur::from_mins(1));
     let ev = sim.actor(ids[7]).0.events.iter().find_map(|e| match e {
         NodeEvent::FetchCompleted {
@@ -128,7 +120,7 @@ fn fetch_missing_content_fails_cleanly() {
     let (mut sim, ids) = build_network(15, 4);
     sim.run_for(Dur::from_mins(5));
     let cid = Cid::from_seed(31337); // never published
-    sim.schedule_command(sim.core().now(), ids[2], NodeCmd::Fetch { cid });
+    sim.schedule_command(sim.now(), ids[2], NodeCmd::Fetch { cid });
     sim.run_for(Dur::from_mins(5));
     let failed = sim
         .actor(ids[2])
@@ -176,13 +168,9 @@ fn nat_node_acquires_relay_and_serves_content() {
     );
     // NAT-ed node publishes; a public node fetches through the relay.
     let cid = Cid::from_seed(2024);
-    sim.schedule_command(
-        sim.core().now(),
-        ids[19],
-        NodeCmd::Publish { cid, size: 512 },
-    );
+    sim.schedule_command(sim.now(), ids[19], NodeCmd::Publish { cid, size: 512 });
     sim.run_for(Dur::from_mins(2));
-    sim.schedule_command(sim.core().now(), ids[4], NodeCmd::Fetch { cid });
+    sim.schedule_command(sim.now(), ids[4], NodeCmd::Fetch { cid });
     sim.run_for(Dur::from_mins(3));
     let got = sim
         .actor(ids[4])
@@ -223,11 +211,7 @@ fn provider_records_carry_relay_circuit_addrs() {
     }
     sim.run_for(Dur::from_mins(10));
     let cid = Cid::from_seed(99);
-    sim.schedule_command(
-        sim.core().now(),
-        ids[14],
-        NodeCmd::Publish { cid, size: 64 },
-    );
+    sim.schedule_command(sim.now(), ids[14], NodeCmd::Publish { cid, size: 64 });
     sim.run_for(Dur::from_mins(2));
     // Find the record on some resolver.
     let mut found_circuit = false;
@@ -257,15 +241,11 @@ fn gateway_serves_http_and_caches() {
     sim.actor_mut(ids[1]).0.cfg.is_gateway = true;
     sim.run_for(Dur::from_mins(5));
     let cid = Cid::from_seed(555);
-    sim.schedule_command(
-        sim.core().now(),
-        ids[9],
-        NodeCmd::Publish { cid, size: 2048 },
-    );
+    sim.schedule_command(sim.now(), ids[9], NodeCmd::Publish { cid, size: 2048 });
     sim.run_for(Dur::from_mins(2));
     // Node 15 acts as HTTP client hitting the gateway.
     sim.schedule_command(
-        sim.core().now(),
+        sim.now(),
         ids[15],
         NodeCmd::HttpGet {
             frontend: ids[1],
@@ -292,7 +272,7 @@ fn gateway_serves_http_and_caches() {
     assert!(gw.store().has(&cid));
     // Second request: cache hit.
     sim.schedule_command(
-        sim.core().now(),
+        sim.now(),
         ids[16],
         NodeCmd::HttpGet {
             frontend: ids[1],
@@ -327,17 +307,13 @@ fn concurrent_gateway_requests_for_same_cid_coalesce() {
     sim.actor_mut(ids[1]).0.cfg.is_gateway = true;
     sim.run_for(Dur::from_mins(5));
     let cid = Cid::from_seed(808);
-    sim.schedule_command(
-        sim.core().now(),
-        ids[9],
-        NodeCmd::Publish { cid, size: 2048 },
-    );
+    sim.schedule_command(sim.now(), ids[9], NodeCmd::Publish { cid, size: 2048 });
     sim.run_for(Dur::from_mins(2));
     // Two clients race for the same CID; the gateway sees the second
     // request while the first fetch is still in flight.
     for &client in &[ids[15], ids[16]] {
         sim.schedule_command(
-            sim.core().now(),
+            sim.now(),
             client,
             NodeCmd::HttpGet {
                 frontend: ids[1],
@@ -373,15 +349,11 @@ fn resolve_providers_exhaustive_collects_records() {
     let cid = Cid::from_seed(1234);
     // Multiple providers.
     for &p in &[3usize, 6, 9] {
-        sim.schedule_command(
-            sim.core().now(),
-            ids[p],
-            NodeCmd::Publish { cid, size: 128 },
-        );
+        sim.schedule_command(sim.now(), ids[p], NodeCmd::Publish { cid, size: 128 });
     }
     sim.run_for(Dur::from_mins(3));
     sim.schedule_command(
-        sim.core().now(),
+        sim.now(),
         ids[20],
         NodeCmd::ResolveProviders {
             cid,
@@ -411,12 +383,12 @@ fn churn_and_rejoin_with_new_ip() {
     let (mut sim, ids) = build_network(20, 9);
     sim.run_for(Dur::from_mins(5));
     let victim = ids[10];
-    sim.schedule_down(sim.core().now() + Dur::from_secs(1), victim);
+    sim.schedule_down(sim.now() + Dur::from_secs(1), victim);
     sim.run_for(Dur::from_mins(1));
     assert!(!sim.core().is_online(victim));
     // Rejoin with a rotated IP.
     let new_addr = std::net::SocketAddrV4::new(ip(10_000), 4001);
-    sim.schedule_up(sim.core().now() + Dur::from_secs(5), victim, Some(new_addr));
+    sim.schedule_up(sim.now() + Dur::from_secs(5), victim, Some(new_addr));
     sim.run_for(Dur::from_mins(5));
     assert!(sim.core().is_online(victim));
     assert_eq!(sim.core().addr(victim), new_addr);
@@ -431,13 +403,13 @@ fn deterministic_runs_same_seed() {
         let (mut sim, ids) = build_network(15, seed);
         sim.run_for(Dur::from_mins(3));
         let cid = Cid::from_seed(1);
-        sim.schedule_command(sim.core().now(), ids[2], NodeCmd::Publish { cid, size: 10 });
+        sim.schedule_command(sim.now(), ids[2], NodeCmd::Publish { cid, size: 10 });
         sim.run_for(Dur::from_mins(2));
-        sim.schedule_command(sim.core().now(), ids[7], NodeCmd::Fetch { cid });
+        sim.schedule_command(sim.now(), ids[7], NodeCmd::Fetch { cid });
         sim.run_for(Dur::from_mins(2));
         (
-            sim.core().stats.events,
-            sim.core().stats.msgs_delivered,
+            sim.stats().events,
+            sim.stats().msgs_delivered,
             sim.actor(ids[7]).0.events.clone(),
         )
     };
@@ -449,11 +421,7 @@ fn identity_adoption_resets_peer_id() {
     let (mut sim, ids) = build_network(10, 11);
     sim.run_for(Dur::from_mins(3));
     let old = sim.actor(ids[4]).0.peer_id();
-    sim.schedule_command(
-        sim.core().now(),
-        ids[4],
-        NodeCmd::AdoptIdentity { seed: 999_999 },
-    );
+    sim.schedule_command(sim.now(), ids[4], NodeCmd::AdoptIdentity { seed: 999_999 });
     sim.run_for(Dur::from_mins(3));
     let new = sim.actor(ids[4]).0.peer_id();
     assert_ne!(old, new);
@@ -560,7 +528,7 @@ fn connected_flags_follow_churn_and_session_restart() {
     assert_eq!(flagged_entries(boot), boot.dht().table().len());
     assert!(boot.dht().table().get(&victim_id).unwrap().connected);
 
-    sim.schedule_down(sim.core().now() + Dur::from_secs(1), victim);
+    sim.schedule_down(sim.now() + Dur::from_secs(1), victim);
     run(&mut sim, 1);
     let entry = sim.actor(ids[0]).0.dht().table().get(&victim_id).cloned();
     assert!(
@@ -576,7 +544,7 @@ fn connected_flags_follow_churn_and_session_restart() {
     // Session restart: fresh table and connection state on the victim,
     // a fresh connection (same id, new address) everywhere else.
     let new_addr = std::net::SocketAddrV4::new(ip(10_000), 4001);
-    sim.schedule_up(sim.core().now() + Dur::from_secs(5), victim, Some(new_addr));
+    sim.schedule_up(sim.now() + Dur::from_secs(5), victim, Some(new_addr));
     run(&mut sim, 8);
     assert!(
         sim.actor(ids[0])
@@ -604,11 +572,7 @@ fn connected_flags_follow_identity_adoption_of_a_live_neighbour() {
             .unwrap()
             .connected
     );
-    sim.schedule_command(
-        sim.core().now(),
-        ids[4],
-        NodeCmd::AdoptIdentity { seed: 999_999 },
-    );
+    sim.schedule_command(sim.now(), ids[4], NodeCmd::AdoptIdentity { seed: 999_999 });
     for _ in 0..12 {
         sim.run_for(Dur::from_secs(15));
         for &id in &ids {
@@ -732,7 +696,7 @@ impl Stage {
 
     /// Run one command and let its consequences settle.
     fn tell(&mut self, who: NodeId, cmd: Script) {
-        self.sim.schedule_command(self.sim.core().now(), who, cmd);
+        self.sim.schedule_command(self.sim.now(), who, cmd);
         self.sim.run_for(Dur::from_secs(1));
         check_flags(self.node());
     }

@@ -1,19 +1,16 @@
-//! Dense per-node connection table.
+//! The connection fabric's storage: one slab per shard.
 //!
-//! Most simulated nodes hold between a handful (NAT clients, ephemeral
-//! users) and a few hundred (DHT servers) connections. A `HashMap` per node
-//! wastes cache lines and forces a collect-and-sort on every deterministic
-//! iteration. The table here keeps entries sorted by peer id in a small-vec
-//! layout: up to [`INLINE_CAP`] connections live inline in the node slot
-//! (no heap allocation at all for the long tail of small nodes), larger
-//! tables spill to a sorted `Vec`. Lookup is a binary search; iteration is
-//! already in deterministic ascending order and allocation-free.
+//! Most simulated nodes hold between zero (the long tail at internet scale)
+//! and a few hundred (DHT servers) connections. A `HashMap` per node wastes
+//! cache lines and forces a collect-and-sort on every deterministic
+//! iteration, and a heap allocation per node is one more thing a fork copies.
+//! [`ConnPool`] keeps every owned node's connection half in one contiguous
+//! `Vec<ConnEntry>`, each node a sorted power-of-two window of it. Lookup is
+//! a binary search; iteration is already in deterministic ascending order
+//! and allocation-free.
 
-use crate::engine::NodeId;
+use crate::state::NodeId;
 use std::net::{Ipv4Addr, SocketAddrV4};
-
-/// Connections stored inline before spilling to the heap.
-const INLINE_CAP: usize = 8;
 
 /// One connection record. Each endpoint owns *its half* of a connection:
 /// the entry also captures the remote socket address observed during the
@@ -36,159 +33,6 @@ impl Default for ConnEntry {
             peer: NodeId(0),
             relayed: false,
             addr: SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0),
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Slots {
-    Inline {
-        len: u8,
-        buf: [ConnEntry; INLINE_CAP],
-    },
-    Heap(Vec<ConnEntry>),
-}
-
-/// A sorted small-vec connection table.
-#[derive(Clone, Debug)]
-pub struct ConnTable(Slots);
-
-impl Default for ConnTable {
-    fn default() -> Self {
-        ConnTable::new()
-    }
-}
-
-impl ConnTable {
-    /// An empty table (no heap allocation).
-    pub fn new() -> ConnTable {
-        ConnTable(Slots::Inline {
-            len: 0,
-            buf: [ConnEntry::default(); INLINE_CAP],
-        })
-    }
-
-    /// Sorted view of the live entries.
-    fn entries(&self) -> &[ConnEntry] {
-        match &self.0 {
-            Slots::Inline { len, buf } => &buf[..*len as usize],
-            Slots::Heap(v) => v,
-        }
-    }
-
-    /// Number of open connections.
-    pub fn len(&self) -> usize {
-        self.entries().len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether a connection to `peer` exists.
-    pub fn contains(&self, peer: NodeId) -> bool {
-        self.entries()
-            .binary_search_by_key(&peer, |e| e.peer)
-            .is_ok()
-    }
-
-    /// The `relayed` flag for `peer`, if connected.
-    pub fn get_relayed(&self, peer: NodeId) -> Option<bool> {
-        let entries = self.entries();
-        entries
-            .binary_search_by_key(&peer, |e| e.peer)
-            .ok()
-            .map(|i| entries[i].relayed)
-    }
-
-    /// The captured remote address for `peer`, if connected.
-    pub fn get_addr(&self, peer: NodeId) -> Option<SocketAddrV4> {
-        let entries = self.entries();
-        entries
-            .binary_search_by_key(&peer, |e| e.peer)
-            .ok()
-            .map(|i| entries[i].addr)
-    }
-
-    /// Insert or update the entry for `peer`.
-    pub fn insert(&mut self, peer: NodeId, relayed: bool, addr: SocketAddrV4) {
-        let entry = ConnEntry {
-            peer,
-            relayed,
-            addr,
-        };
-        match &mut self.0 {
-            Slots::Inline { len, buf } => {
-                let n = *len as usize;
-                match buf[..n].binary_search_by_key(&peer, |e| e.peer) {
-                    Ok(i) => buf[i] = entry,
-                    Err(i) if n < INLINE_CAP => {
-                        buf.copy_within(i..n, i + 1);
-                        buf[i] = entry;
-                        *len += 1;
-                    }
-                    Err(i) => {
-                        // Spill: promote to a heap vec with headroom.
-                        let mut v = Vec::with_capacity(INLINE_CAP * 4);
-                        v.extend_from_slice(&buf[..n]);
-                        v.insert(i, entry);
-                        self.0 = Slots::Heap(v);
-                    }
-                }
-            }
-            Slots::Heap(v) => match v.binary_search_by_key(&peer, |e| e.peer) {
-                Ok(i) => v[i] = entry,
-                Err(i) => v.insert(i, entry),
-            },
-        }
-    }
-
-    /// Remove the entry for `peer`; returns whether it existed.
-    pub fn remove(&mut self, peer: NodeId) -> bool {
-        match &mut self.0 {
-            Slots::Inline { len, buf } => {
-                let n = *len as usize;
-                match buf[..n].binary_search_by_key(&peer, |e| e.peer) {
-                    Ok(i) => {
-                        buf.copy_within(i + 1..n, i);
-                        *len -= 1;
-                        true
-                    }
-                    Err(_) => false,
-                }
-            }
-            Slots::Heap(v) => match v.binary_search_by_key(&peer, |e| e.peer) {
-                Ok(i) => {
-                    v.remove(i);
-                    true
-                }
-                Err(_) => false,
-            },
-        }
-    }
-
-    /// Iterate peers in ascending id order, allocation-free.
-    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries().iter().map(|e| e.peer)
-    }
-
-    /// Iterate full entries in ascending peer order.
-    pub fn iter(&self) -> impl Iterator<Item = ConnEntry> + '_ {
-        self.entries().iter().copied()
-    }
-
-    /// Take every entry out, leaving the table empty (churn teardown).
-    pub fn take_all(&mut self) -> Vec<ConnEntry> {
-        match std::mem::replace(
-            &mut self.0,
-            Slots::Inline {
-                len: 0,
-                buf: [ConnEntry::default(); INLINE_CAP],
-            },
-        ) {
-            Slots::Inline { len, buf } => buf[..len as usize].to_vec(),
-            Slots::Heap(v) => v,
         }
     }
 }
@@ -226,8 +70,7 @@ impl ConnRef {
 /// at internet scale — cost only the 12-byte handle.
 ///
 /// Entries within a window are kept sorted by peer id, so lookups stay a
-/// binary search and iteration stays deterministic ascending order,
-/// exactly like the small-vec [`ConnTable`] this replaces in the engine.
+/// binary search and iteration stays deterministic ascending order.
 #[derive(Clone, Debug, Default)]
 pub struct ConnPool {
     refs: Vec<ConnRef>,
@@ -250,11 +93,6 @@ impl ConnPool {
     /// Register the next node (dense local indices, append-only).
     pub fn push_node(&mut self) {
         self.refs.push(ConnRef::EMPTY);
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.refs.len()
     }
 
     fn range(&self, node: usize) -> &[ConnEntry] {
@@ -289,27 +127,27 @@ impl ConnPool {
         self.refs[node].len as usize
     }
 
+    /// `node`'s entry for `peer`, if connected (binary search of its window).
+    fn get(&self, node: usize, peer: NodeId) -> Option<&ConnEntry> {
+        let r = self.range(node);
+        r.binary_search_by_key(&peer, |e| e.peer)
+            .ok()
+            .map(|i| &r[i])
+    }
+
     /// Whether `node` holds a connection to `peer`.
     pub fn contains(&self, node: usize, peer: NodeId) -> bool {
-        self.range(node)
-            .binary_search_by_key(&peer, |e| e.peer)
-            .is_ok()
+        self.get(node, peer).is_some()
     }
 
     /// The `relayed` flag for `peer`, if connected.
     pub fn get_relayed(&self, node: usize, peer: NodeId) -> Option<bool> {
-        let r = self.range(node);
-        r.binary_search_by_key(&peer, |e| e.peer)
-            .ok()
-            .map(|i| r[i].relayed)
+        self.get(node, peer).map(|e| e.relayed)
     }
 
     /// The captured remote address for `peer`, if connected.
     pub fn get_addr(&self, node: usize, peer: NodeId) -> Option<SocketAddrV4> {
-        let r = self.range(node);
-        r.binary_search_by_key(&peer, |e| e.peer)
-            .ok()
-            .map(|i| r[i].addr)
+        self.get(node, peer).map(|e| e.addr)
     }
 
     /// Insert or update `node`'s entry for `peer`, keeping the window
@@ -412,6 +250,7 @@ impl ConnPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -421,69 +260,15 @@ mod tests {
         SocketAddrV4::new(Ipv4Addr::new(10, 0, 0, i as u8), 4001)
     }
 
-    #[test]
-    fn insert_sorted_and_lookup() {
-        let mut t = ConnTable::new();
-        for i in [5u32, 1, 9, 3, 7] {
-            t.insert(n(i), i % 2 == 0, a(i));
-        }
-        assert_eq!(t.len(), 5);
-        let order: Vec<u32> = t.peers().map(|p| p.0).collect();
-        assert_eq!(order, vec![1, 3, 5, 7, 9]);
-        assert!(t.contains(n(5)));
-        assert!(!t.contains(n(4)));
-        assert_eq!(t.get_relayed(n(1)), Some(false));
-        assert_eq!(t.get_relayed(n(2)), None);
-    }
-
-    #[test]
-    fn insert_updates_existing() {
-        let mut t = ConnTable::new();
-        t.insert(n(1), false, a(1));
-        t.insert(n(1), true, a(1));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get_relayed(n(1)), Some(true));
-    }
-
-    #[test]
-    fn spills_to_heap_and_stays_sorted() {
-        let mut t = ConnTable::new();
-        // Insert in descending order to stress the sorted-insert path.
-        for i in (0..100u32).rev() {
-            t.insert(n(i), false, a(i));
-        }
-        assert_eq!(t.len(), 100);
-        let order: Vec<u32> = t.peers().map(|p| p.0).collect();
-        assert_eq!(order, (0..100).collect::<Vec<u32>>());
-        assert!(t.contains(n(99)));
-        assert!(t.remove(n(50)));
-        assert!(!t.contains(n(50)));
-        assert_eq!(t.len(), 99);
-    }
-
-    #[test]
-    fn remove_inline_and_missing() {
-        let mut t = ConnTable::new();
-        t.insert(n(1), false, a(1));
-        t.insert(n(2), false, a(2));
-        assert!(t.remove(n(1)));
-        assert!(!t.remove(n(1)));
-        assert_eq!(t.peers().map(|p| p.0).collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
-    fn take_all_empties() {
-        let mut t = ConnTable::new();
-        for i in 0..20u32 {
-            t.insert(n(i), i == 3, a(i));
-        }
-        let all = t.take_all();
-        assert_eq!(all.len(), 20);
-        assert!(all[3].relayed);
-        assert!(t.is_empty());
-        // Table is reusable afterwards.
-        t.insert(n(7), false, a(7));
-        assert_eq!(t.len(), 1);
+    /// A model window in the pool's iteration order.
+    fn entries(m: &BTreeMap<NodeId, (bool, SocketAddrV4)>) -> Vec<ConnEntry> {
+        m.iter()
+            .map(|(&peer, &(relayed, addr))| ConnEntry {
+                peer,
+                relayed,
+                addr,
+            })
+            .collect()
     }
 
     #[test]
@@ -560,34 +345,65 @@ mod tests {
         assert!(p.bytes() > 0);
     }
 
-    /// The pool and the small-vec table must agree operation-for-operation
-    /// — the engine swap must not change any observable sequence.
+    /// The pool against one `BTreeMap` per node, operation for operation.
+    /// The nodes share the slab: three start together and three join later,
+    /// so a late joiner's first window is one an earlier node outgrew (stale
+    /// entries still in it), growth recycles across nodes, and `take_all` /
+    /// `clear` empty windows that then refill. Every node's `len` and `iter`
+    /// order are compared after every step, so an entry leaking between
+    /// windows or surviving a teardown shows at the step that caused it.
     #[test]
-    fn pool_matches_conntable_reference() {
+    fn pool_matches_btreemap_model() {
         let mut p = ConnPool::new();
-        p.push_node();
-        let mut t = ConnTable::new();
+        let mut model: Vec<BTreeMap<NodeId, (bool, SocketAddrV4)>> = Vec::new();
         let mut x = 123456789u64;
-        for _ in 0..2000 {
+        let mut widest = 0;
+        for step in 0..6000 {
+            if step % 1500 == 0 || step < 3 {
+                p.push_node();
+                model.push(BTreeMap::new());
+            }
             // Tiny xorshift so the mix of ops is deterministic.
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let peer = n((x % 50) as u32);
-            match x % 3 {
-                0 => {
-                    p.insert(0, peer, x.is_multiple_of(5), a(peer.0));
-                    t.insert(peer, x.is_multiple_of(5), a(peer.0));
+            let node = (x >> 8) as usize % model.len();
+            let peer = n((x >> 16) as u32 % 60);
+            let m = &mut model[node];
+            match x % 256 {
+                0..=119 => {
+                    let (relayed, addr) = (x.is_multiple_of(5), a((x >> 24) as u32 % 250));
+                    p.insert(node, peer, relayed, addr);
+                    m.insert(peer, (relayed, addr));
                 }
-                1 => {
-                    assert_eq!(p.remove(0, peer), t.remove(peer));
+                120..=199 => assert_eq!(p.remove(node, peer), m.remove(&peer).is_some()),
+                200..=253 => {
+                    assert_eq!(p.contains(node, peer), m.contains_key(&peer));
+                    assert_eq!(p.get_relayed(node, peer), m.get(&peer).map(|e| e.0));
+                    assert_eq!(p.get_addr(node, peer), m.get(&peer).map(|e| e.1));
+                }
+                254 => {
+                    let taken = p.take_all(node);
+                    assert_eq!(taken, entries(&std::mem::take(m)), "step {step}");
                 }
                 _ => {
-                    assert_eq!(p.contains(0, peer), t.contains(peer));
-                    assert_eq!(p.get_relayed(0, peer), t.get_relayed(peer));
+                    p.clear(node);
+                    m.clear();
                 }
             }
+            for (i, m) in model.iter().enumerate() {
+                widest = widest.max(m.len());
+                assert_eq!(p.len(i), m.len(), "step {step}, node {i}");
+                assert_eq!(
+                    p.iter(i).collect::<Vec<_>>(),
+                    entries(m),
+                    "step {step}, node {i}"
+                );
+            }
         }
-        assert_eq!(p.iter(0).collect::<Vec<_>>(), t.iter().collect::<Vec<_>>());
+        assert!(
+            widest > 32,
+            "windows grew through every class up to 64: {widest}"
+        );
     }
 }

@@ -7,21 +7,25 @@
 //! the [`Actor`] trait; measurement tools are actors too, exactly as the
 //! paper's tools were ordinary participants of the real network.
 //!
-//! Built for scale: nodes partition into shards, each with its own
-//! hierarchical timer wheel ([`wheel`]) and slab-allocated connection pool
-//! slice, run by one worker thread per shard under conservative epoch
-//! synchronization (`shard` — cross-shard events ride per-pair mailboxes,
-//! bounded by the minimum cross-shard link latency). Per-node state is
-//! struct-of-arrays: non-owner shards replicate only 8 bytes per node
-//! (owner handle, partition class, region index), while owner-only columns
-//! — RNGs, liveness, sorted connection windows of the per-shard
-//! [`conn::ConnPool`] slab — live densely at the owning shard behind a
-//! copy-on-write [`std::sync::Arc`] that makes engine forks O(queue), not
-//! O(nodes) ([`engine::StateBytes`] reports the measured split). Latency
-//! sampling reads a flattened region matrix. See [`engine`] for the
-//! scheduler layout and the shard-invariant determinism contract
-//! ([`Sim::trace_digest`] folds every processed event into a commutative
-//! digest that is byte-identical for every shard count).
+//! Built for scale: nodes partition into shards, each with its own timer
+//! wheel and connection slab, one worker thread per shard under conservative
+//! epoch synchronization; per-node state is struct-of-arrays behind a
+//! copy-on-write `Arc`, so engine forks are O(queue), not O(nodes).
+//! [`Sim::trace_digest`] is byte-identical for every shard count.
+//!
+//! Everything a caller needs is in the `pub use` list below. Behind it, one
+//! module per responsibility:
+//!
+//! | module      | owns                                                          |
+//! |-------------|---------------------------------------------------------------|
+//! | `sim`       | the [`Sim`] harness and [`CoreView`], the one read-only view; the **determinism contract** and sharded-execution text |
+//! | `state`     | per-shard state columns, the event enum, routing, the digest fold; the **memory-layout** text and the crate's one `unsafe` |
+//! | `ctx`       | [`Actor`], [`Ctx`], [`NodeSetup`] — what protocol code sees   |
+//! | `dispatch`  | one shard's event loop: fabric, dial protocol, lifecycle, faults |
+//! | `lookahead` | conservative per-shard-pair bounds from the latency matrix    |
+//! | `shard`     | the epoch executor (barriers, mailboxes, horizons)            |
+//! | `stats`     | counters and accounting types                                 |
+//! | `conn`, `wheel`, `latency`, `churn`, `time` | the connection slab, the timer wheel, the latency and churn models, virtual time |
 //!
 //! Design follows the sans-io idiom of the session guides (smoltcp, Tokio
 //! tutorial): no I/O and no wall clock inside protocol state machines,
@@ -29,18 +33,23 @@
 
 pub mod churn;
 pub mod conn;
-pub mod engine;
+mod ctx;
+mod dispatch;
 pub mod latency;
-pub(crate) mod shard;
+mod lookahead;
+mod shard;
+mod sim;
+mod state;
+mod stats;
 pub mod time;
 pub mod wheel;
 
 pub use churn::{ChurnModel, LogNormal};
-pub use conn::{ConnEntry, ConnPool, ConnTable};
-pub use engine::{
-    Actor, CoreView, Ctx, EventKindCounts, Fault, NodeId, NodeSetup, ShardLoad, Sim, SimConfig,
-    SimCore, SimStats, StateBytes, SyncCounters, MAX_SHARDS,
-};
+pub use conn::{ConnEntry, ConnPool};
+pub use ctx::{Actor, Ctx, NodeSetup};
 pub use latency::{LatencyModel, RegionId};
+pub use sim::{CoreView, Sim};
+pub use state::{Fault, NodeId, SimConfig, MAX_SHARDS};
+pub use stats::{EventKindCounts, ShardLoad, SimStats, StateBytes, SyncCounters};
 pub use time::{Dur, SimTime};
 pub use wheel::TimerWheel;

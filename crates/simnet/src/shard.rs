@@ -52,7 +52,9 @@
 //! buffers instead of copying events, the outbox and the cell buffer
 //! ping-pong between the two shards and steady state allocates nothing.
 
-use crate::engine::{Actor, OutEv, Shard};
+use crate::ctx::Actor;
+use crate::dispatch::Shard;
+use crate::state::OutEv;
 use crate::time::{Dur, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -212,7 +214,7 @@ pub(crate) fn run_epochs<A: Actor>(
                                  (at {:?}, horizon {h})",
                                 e.at
                             );
-                            shard.core.enqueue_external(e.at, e.key, e.ev);
+                            shard.core.enqueue_local(e.at, e.key, e.ev);
                         }
                     }
                     if profiling {

@@ -1,7 +1,7 @@
 //! Determinism regression tests for the timer-wheel scheduler.
 //!
 //! The engine's contract: same seed + same call sequence ⇒ byte-identical
-//! event traces. `SimCore::trace_digest` folds every processed event
+//! event traces. `Sim::trace_digest` folds every processed event
 //! (time, kind, operands) into a running FNV hash, so two runs can be
 //! compared without recording full traces.
 
@@ -113,11 +113,7 @@ fn run_mixed(seed: u64, chunked: bool) -> (u64, u64, u64) {
     } else {
         s.run_for(Dur::from_hours(30));
     }
-    (
-        s.core().trace_digest(),
-        s.core().stats.events,
-        s.core().stats.msgs_delivered,
-    )
+    (s.trace_digest(), s.stats().events, s.stats().msgs_delivered)
 }
 
 #[test]
@@ -149,14 +145,14 @@ fn golden_trace_invariant_under_run_until_chunking() {
     let run_whole = |seed: u64| {
         let mut s = run_mixed_sim(seed);
         s.run_for(Dur::from_mins(total));
-        (s.core().trace_digest(), s.core().stats.events)
+        (s.trace_digest(), s.stats().events)
     };
     let run_chunks = |seed: u64| {
         let mut s = run_mixed_sim(seed);
         for k in 1..=9u64 {
             s.run_for(Dur::from_mins(20 * k));
         }
-        (s.core().trace_digest(), s.core().stats.events)
+        (s.trace_digest(), s.stats().events)
     };
     assert_eq!(run_whole(77), run_chunks(77));
 }

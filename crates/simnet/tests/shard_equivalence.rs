@@ -1,14 +1,14 @@
 //! Shard-invariance regression tests: the same scenario must produce
 //! byte-identical results — merged trace digest, every shard-invariant
 //! counter, per-actor state — for every shard count. This is the engine's
-//! v2 determinism contract (see `engine.rs` module docs) and the oracle the
+//! v2 determinism contract (see the `sim` module docs) and the oracle the
 //! multi-core campaign runner relies on.
 
 use proptest::prelude::*;
 use simnet::{
     Actor, Ctx, Dur, Fault, LatencyModel, NodeId, NodeSetup, RegionId, Sim, SimConfig, SimTime,
 };
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 
 /// A chatty actor exercising every event kind: dials, relayed dials,
 /// messages, timers, loopback commands, disconnects.
@@ -85,7 +85,8 @@ impl Actor for Chatter {
 const POP: u32 = 48;
 
 /// Fingerprint of one run: merged digest plus every shard-invariant
-/// counter and a fold over per-actor state.
+/// counter, a fold over per-actor state, and a fold over the harness read
+/// surface taken at every quiesce point.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     digest: u64,
@@ -98,9 +99,75 @@ struct Fingerprint {
     timers: u64,
     commands: u64,
     actor_fold: u64,
+    view_fold: u64,
 }
 
-fn run(shards: usize, seed: u64, with_faults: bool, nat_stride: u32) -> Fingerprint {
+fn mix(h: &mut u64, v: u64) {
+    *h = h.wrapping_mul(0x100000001B3).wrapping_add(v);
+}
+
+/// Fold what [`simnet::CoreView`] answers for every node — liveness,
+/// dialability, retirement, partition class, address, region, connection
+/// list — plus the partition flag into `h`. Each answer comes from the shard
+/// owning the node asked about, so a fold that agrees across shard counts
+/// holds that routing equal to the one-shard truth.
+fn fold_view(s: &Sim<Chatter>, h: &mut u64) {
+    let v = s.core();
+    assert_eq!(v.node_count(), POP as usize);
+    mix(h, v.partition_active() as u64);
+    for i in 0..POP {
+        let n = NodeId(i);
+        let bits =
+            v.is_online(n) as u64 | (v.is_dialable(n) as u64) << 1 | (v.is_retired(n) as u64) << 2;
+        mix(h, bits);
+        mix(h, v.net_class(n) as u64);
+        mix(h, u32::from(*v.addr(n).ip()) as u64);
+        mix(h, v.region(n).0 as u64);
+        mix(h, v.connection_count(n) as u64);
+        for p in v.connections(n) {
+            assert!(v.connected(n, p));
+            mix(h, p.0 as u64);
+        }
+    }
+}
+
+/// Advance `s` in five uneven chunks (epoch boundaries must not depend on
+/// how the harness slices time), reading the view at each stop, and
+/// fingerprint the result.
+fn finish(mut s: Sim<Chatter>) -> Fingerprint {
+    let mut view_fold = 0u64;
+    for k in 1..=5u64 {
+        s.run_for(Dur::from_mins(36 * k));
+        fold_view(&s, &mut view_fold);
+    }
+    let stats = s.stats();
+    let mut actor_fold = 0u64;
+    for i in 0..POP {
+        let a = s.actor(NodeId(i));
+        for v in [a.hops, a.closed, a.dials_ok, a.dials_failed] {
+            mix(&mut actor_fold, v as u64);
+        }
+    }
+    Fingerprint {
+        digest: s.trace_digest(),
+        events: stats.events,
+        delivered: stats.msgs_delivered,
+        dropped: stats.msgs_dropped,
+        lost: stats.msgs_lost,
+        dials_ok: stats.dials_ok,
+        dials_failed: stats.dials_failed,
+        timers: stats.timers_fired,
+        commands: stats.commands,
+        actor_fold,
+        view_fold,
+    }
+}
+
+/// The population every run starts from: `POP` chatterers over four
+/// regions, a third of them churning. `shard_of[i]` places node `i`
+/// explicitly (the engine API the balanced partitioner drives); `None` takes
+/// the region-major default.
+fn populate(shards: usize, seed: u64, nat_stride: u32, shard_of: Option<&[u16]>) -> Sim<Chatter> {
     let mut s: Sim<Chatter> = Sim::new_sharded(
         SimConfig {
             loss: 0.01,
@@ -117,23 +184,31 @@ fn run(shards: usize, seed: u64, with_faults: bool, nat_stride: u32) -> Fingerpr
         if nat_stride > 0 && i % nat_stride == 0 {
             setup.dialable = false;
         }
-        let id = s.add_node(Chatter::default(), setup);
+        let id = match shard_of {
+            Some(shard_of) => s.add_node_in(Chatter::default(), setup, shard_of[i as usize]),
+            None => s.add_node(Chatter::default(), setup),
+        };
         s.schedule_command(
             SimTime::ZERO + Dur::from_millis(17 * (i as u64 + 1)),
             id,
             Cmd::DialRing,
         );
         // Churn: a third of the nodes bounce, hitting the far band of the
-        // wheel (hours out).
+        // wheel (hours out), and rejoin at a rotated address.
         if i % 3 == 0 {
             s.schedule_down(SimTime::ZERO + Dur::from_mins(40 + i as u64), id);
             s.schedule_up(
                 SimTime::ZERO + Dur::from_hours(2) + Dur::from_mins(i as u64),
                 id,
-                None,
+                Some(SocketAddrV4::new(Ipv4Addr::new(10, 2, 0, i as u8), 4001)),
             );
         }
     }
+    s
+}
+
+fn run(shards: usize, seed: u64, with_faults: bool, nat_stride: u32) -> Fingerprint {
+    let mut s = populate(shards, seed, nat_stride, None);
     if with_faults {
         let t = |m| SimTime::ZERO + Dur::from_mins(m);
         // Kill a couple of nodes abruptly, retire one, and split region 2
@@ -167,33 +242,7 @@ fn run(shards: usize, seed: u64, with_faults: bool, nat_stride: u32) -> Fingerpr
             }
         }
     }
-    // Chunked advance: epoch boundaries must not depend on how the harness
-    // slices time.
-    for k in 1..=5u64 {
-        s.run_for(Dur::from_mins(36 * k));
-    }
-    let stats = s.stats();
-    let mut actor_fold = 0u64;
-    for i in 0..POP {
-        let a = s.actor(NodeId(i));
-        for v in [a.hops, a.closed, a.dials_ok, a.dials_failed] {
-            actor_fold = actor_fold
-                .wrapping_mul(0x100000001B3)
-                .wrapping_add(v as u64);
-        }
-    }
-    Fingerprint {
-        digest: s.trace_digest(),
-        events: stats.events,
-        delivered: stats.msgs_delivered,
-        dropped: stats.msgs_dropped,
-        lost: stats.msgs_lost,
-        dials_ok: stats.dials_ok,
-        dials_failed: stats.dials_failed,
-        timers: stats.timers_fired,
-        commands: stats.commands,
-        actor_fold,
-    }
+    finish(s)
 }
 
 #[test]
@@ -341,65 +390,6 @@ fn replica_bytes_stay_o_nodes() {
     }
 }
 
-/// Like [`run`], but with an explicit node→shard assignment (the engine
-/// API the balanced partitioner drives) instead of the region-major
-/// default. `shard_of[i]` places node `i`.
-fn run_placed(shards: usize, seed: u64, shard_of: &[u16]) -> Fingerprint {
-    let mut s: Sim<Chatter> = Sim::new_sharded(
-        SimConfig {
-            loss: 0.01,
-            dial_timeout: Dur::from_secs(9),
-            max_events: u64::MAX,
-        },
-        LatencyModel::continents(4, Dur::from_millis(11), Dur::from_millis(87), 0.3),
-        seed,
-        shards,
-    );
-    for i in 0..POP {
-        let setup = NodeSetup::public(Ipv4Addr::new(10, 1, (i / 256) as u8, (i % 256) as u8))
-            .in_region(RegionId((i % 4) as u16));
-        let id = s.add_node_in(Chatter::default(), setup, shard_of[i as usize]);
-        s.schedule_command(
-            SimTime::ZERO + Dur::from_millis(17 * (i as u64 + 1)),
-            id,
-            Cmd::DialRing,
-        );
-        if i % 3 == 0 {
-            s.schedule_down(SimTime::ZERO + Dur::from_mins(40 + i as u64), id);
-            s.schedule_up(
-                SimTime::ZERO + Dur::from_hours(2) + Dur::from_mins(i as u64),
-                id,
-                None,
-            );
-        }
-    }
-    for k in 1..=5u64 {
-        s.run_for(Dur::from_mins(36 * k));
-    }
-    let stats = s.stats();
-    let mut actor_fold = 0u64;
-    for i in 0..POP {
-        let a = s.actor(NodeId(i));
-        for v in [a.hops, a.closed, a.dials_ok, a.dials_failed] {
-            actor_fold = actor_fold
-                .wrapping_mul(0x100000001B3)
-                .wrapping_add(v as u64);
-        }
-    }
-    Fingerprint {
-        digest: s.trace_digest(),
-        events: stats.events,
-        delivered: stats.msgs_delivered,
-        dropped: stats.msgs_dropped,
-        lost: stats.msgs_lost,
-        dials_ok: stats.dials_ok,
-        dials_failed: stats.dials_failed,
-        timers: stats.timers_fired,
-        commands: stats.commands,
-        actor_fold,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -426,6 +416,7 @@ proptest! {
         let shards = [2usize, 4, 7][shards_pick];
         let shard_of: Vec<u16> = assign.iter().map(|&a| a % shards as u16).collect();
         let one = run(1, seed, false, 0);
-        prop_assert_eq!(&one, &run_placed(shards, seed, &shard_of));
+        let placed = finish(populate(shards, seed, 0, Some(&shard_of)));
+        prop_assert_eq!(&one, &placed);
     }
 }

@@ -34,7 +34,7 @@
 //!    campaign being observed.
 //!
 //! Everything inherits the simulator's determinism contract: the same seed
-//! and the same plan produce a byte-identical `SimCore::trace_digest`, and
+//! and the same plan produce a byte-identical `Sim::trace_digest`, and
 //! an empty plan is byte-identical to a campaign that never heard of this
 //! crate (both are asserted in `tests/`).
 

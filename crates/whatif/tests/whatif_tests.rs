@@ -23,7 +23,7 @@ fn run_plan(seed: u64, plan: Vec<InterventionSpec>, hours: u64) -> (u64, Campaig
     let mut campaign = Campaign::new(scenario, opts());
     whatif::apply(&mut campaign);
     campaign.run_for(Dur::from_hours(hours));
-    (campaign.sim.core().trace_digest(), campaign)
+    (campaign.sim.trace_digest(), campaign)
 }
 
 fn cloud_exit_plan(style: ExitStyle) -> Vec<InterventionSpec> {
@@ -96,9 +96,9 @@ fn same_seed_same_plan_identical_digest() {
     let (d1, c1) = run_plan(11, plan(), 10);
     let (d2, c2) = run_plan(11, plan(), 10);
     assert_eq!(d1, d2, "same seed + same plan must replay byte-identically");
-    assert_eq!(c1.sim.core().stats.events, c2.sim.core().stats.events);
+    assert_eq!(c1.sim.stats().events, c2.sim.stats().events);
     assert!(
-        c1.sim.core().stats.kinds.fault > 0,
+        c1.sim.stats().kinds.fault > 0,
         "plan actually injected faults"
     );
 }
@@ -113,7 +113,7 @@ fn empty_plan_is_byte_identical_to_plain_campaign() {
     plain.run_for(Dur::from_hours(8));
     assert_eq!(
         with_whatif,
-        plain.sim.core().trace_digest(),
+        plain.sim.trace_digest(),
         "empty intervention plan must be a byte-identical no-op"
     );
 }
@@ -140,7 +140,7 @@ fn exits_are_permanent_and_styles_differ() {
     }
     // Graceful teardown notifies peers (ConnClosed events); the abrupt
     // variant kills the same population silently.
-    assert!(graceful.sim.core().stats.kinds.node_down > abrupt.sim.core().stats.kinds.node_down);
+    assert!(graceful.sim.stats().kinds.node_down > abrupt.sim.stats().kinds.node_down);
 }
 
 #[test]

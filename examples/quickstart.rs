@@ -30,7 +30,7 @@ fn main() {
     campaign.run_for(Dur::from_hours(48));
     println!(
         "after 48 virtual hours: {} engine events, {} Bitswap wants logged by the monitor",
-        campaign.sim.core().stats.events,
+        campaign.sim.stats().events,
         campaign.monitor_log().len()
     );
 
