@@ -8,12 +8,11 @@
 //! * [`ReverseDnsDb`] — PTR records, used for platform attribution (Fig. 13).
 
 use crate::trie::{Cidr, PrefixTrie};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Interned cloud-provider identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProviderId(pub u16);
 
 /// IP → cloud provider database (Udger stand-in).
@@ -75,7 +74,7 @@ impl CloudDb {
 }
 
 /// Two-letter ISO country code.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryCode(pub [u8; 2]);
 
 impl CountryCode {
@@ -133,7 +132,7 @@ impl GeoDb {
 }
 
 /// Autonomous system number.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 /// IP → ASN database.

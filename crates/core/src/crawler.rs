@@ -12,7 +12,6 @@
 use ipfs_node::WireMsg;
 use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet, PeerId};
 use kademlia::{DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo};
-use serde::{Deserialize, Serialize};
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::net::Ipv4Addr;
 
@@ -27,7 +26,7 @@ const MAX_CPL: u32 = 24;
 const IDENTITY_SEED: u64 = 0xC4A817;
 
 /// One peer observed in a crawl.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrawledPeer {
     /// The peer's identity.
     pub peer: PeerId,
@@ -41,7 +40,7 @@ pub struct CrawledPeer {
 }
 
 /// A finished crawl: the paper's `G_DHT` snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrawlSnapshot {
     /// Sequence number of the crawl.
     pub crawl_id: u64,

@@ -14,12 +14,11 @@ use kademlia::{
     DhtBody, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupConfig, LookupKind, PeerInfo,
     ProviderStore, ProviderStoreConfig, RoutingTable, TableConfig, TrafficClass,
 };
-use serde::{Deserialize, Serialize};
 use simnet::{Ctx, Dur, NodeId};
 use std::net::SocketAddrV4;
 
 /// One Hydra log line.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HydraLogEntry {
     /// Virtual timestamp (nanoseconds).
     pub ts_ns: u64,

@@ -15,7 +15,6 @@ pub mod analysis;
 pub mod campaign;
 pub mod counting;
 pub mod crawler;
-pub mod dataset;
 pub mod hydra;
 
 pub use actors::{EcoActor, EcoCmd, Frontend, ReplayDriver, WebUser};
@@ -30,8 +29,4 @@ pub use counting::{
     DatasetStats,
 };
 pub use crawler::{CrawlSnapshot, CrawledPeer, Crawler, CrawlerCmd};
-pub use dataset::{
-    bitswap_log_to_jsonl, hydra_log_to_jsonl, read_jsonl, snapshots_from_jsonl, snapshots_to_jsonl,
-    write_jsonl, BitswapLogRecord,
-};
 pub use hydra::{Hydra, HydraConfig, HydraLogEntry};

@@ -12,10 +12,9 @@
 //! repro workload-replay                       # generative Zipf/diurnal/flash request replay
 //! ```
 
-//! With `--telemetry` (or `TCSB_TELEMETRY=1`) every run also records the
-//! flight recorder and the per-shard epoch profiler; `--flight-out` /
-//! `--profile-out` write them out. The trace digest is byte-identical with
-//! telemetry on or off.
+//! With `--telemetry` every run also records the flight recorder and the
+//! per-shard epoch profiler; `--flight-out` / `--profile-out` write them
+//! out. The trace digest is byte-identical with telemetry on or off.
 
 use experiments::{
     crawl_exp, entry_exp, recovery_exp, resilience_exp, telemetry_exp, traffic_exp,
@@ -73,8 +72,9 @@ const ARTEFACTS: &[(&str, &str)] = &[
 
 fn print_list() {
     println!("artefacts:");
+    let width = ARTEFACTS.iter().map(|a| a.0.len()).max().unwrap_or(0);
     for (name, what) in ARTEFACTS {
-        println!("  {name:<8} {what}");
+        println!("  {name:<width$} {what}");
     }
     let scales: Vec<&str> = SCALES.iter().map(|s| s.name()).collect();
     println!("\nscales: {} (default: small)", scales.join(", "));
@@ -85,10 +85,10 @@ fn print_list() {
     println!(
         "        --shards N runs the engine on N cores (default 1, or TCSB_SHARDS);\n\
          all tables and digests are byte-identical for every shard count.\n\
-         --telemetry (or TCSB_TELEMETRY=1) turns on the zero-perturbation\n\
-         telemetry: the flight recorder (--flight-out, JSONL; also dumped on\n\
-         panic) and the per-shard epoch profiler (--profile-out, Chrome\n\
-         trace-event JSON — open in Perfetto). Digests are unchanged."
+         --telemetry turns on the zero-perturbation telemetry: the flight\n\
+         recorder (--flight-out, JSONL; also dumped on panic) and the\n\
+         per-shard epoch profiler (--profile-out, Chrome trace-event JSON —\n\
+         open in Perfetto). Digests are unchanged."
     );
 }
 
@@ -124,8 +124,7 @@ whatif-cloud-exit, whatif-recovery, engine, budget, telemetry, workload-replay"
     let mut seed = 42u64;
     let mut shards = 0usize; // 0 = auto (TCSB_SHARDS or 1)
     let mut md_path: Option<String> = None;
-    // `TCSB_TELEMETRY`: any non-empty value other than `0` turns it on.
-    let mut telemetry_on = std::env::var("TCSB_TELEMETRY").is_ok_and(|v| !v.is_empty() && v != "0");
+    let mut telemetry_on = false;
     let mut flight_out: Option<String> = None;
     let mut profile_out: Option<String> = None;
     let mut i = 1;

@@ -13,10 +13,9 @@ use crate::base::{
 };
 use crate::key::Key256;
 use crate::sha256::sha256;
-use serde::{Deserialize, Serialize};
 
 /// Multicodec content type codes (the subset IPFS uses in practice).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Codec {
     /// Raw bytes (0x55).
     Raw,
@@ -48,7 +47,7 @@ impl Codec {
 }
 
 /// A sha2-256 multihash (function code 0x12, length 32).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Multihash(pub [u8; 32]);
 
 impl Multihash {
@@ -88,7 +87,7 @@ impl std::fmt::Debug for Multihash {
 }
 
 /// CID version.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CidVersion {
     /// Legacy, dag-pb + base58btc only.
     V0,
@@ -97,7 +96,7 @@ pub enum CidVersion {
 }
 
 /// A content identifier.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cid {
     /// Which wire format this CID uses.
     pub version: CidVersion,

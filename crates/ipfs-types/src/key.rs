@@ -5,11 +5,10 @@
 //! as an unsigned 256-bit integer (Maymounkov & Mazières 2002).
 
 use crate::sha256::sha256;
-use serde::{Deserialize, Serialize};
 
 /// A point in the 256-bit keyspace (big-endian byte order: byte 0 carries the
 /// most significant bits, which determine bucket placement).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Key256(pub [u8; 32]);
 
 impl Key256 {

@@ -8,11 +8,10 @@
 
 use crate::base::DecodeError;
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// One protocol component of a multiaddr.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Proto {
     /// `/ip4/a.b.c.d`
     Ip4(Ipv4Addr),
@@ -33,7 +32,7 @@ pub enum Proto {
 }
 
 /// A parsed multiaddress: a non-empty stack of protocol components.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Multiaddr(pub Vec<Proto>);
 
 impl Multiaddr {

@@ -10,7 +10,6 @@
 use crate::base::base58btc_encode;
 use crate::key::Key256;
 use crate::sha256::sha256;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic keypair: 32-byte seed, derived public key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,7 +55,7 @@ impl Keypair {
 
 /// A peer identifier: hash of the node's public key, living in the Kademlia
 /// keyspace.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerId(pub Key256);
 
 impl PeerId {

@@ -8,7 +8,6 @@
 //! routing tables.
 
 use ipfs_types::{Cid, Key256, Multiaddr, PeerId};
-use serde::{Deserialize, Serialize};
 use simnet::{NodeId, SimTime};
 
 /// A shared, immutable list of advertised multiaddresses.
@@ -110,7 +109,7 @@ impl DhtRequest {
 }
 
 /// The paper's §5 classification of DHT traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrafficClass {
     /// Content-related downloads (provider resolution).
     Download,
