@@ -68,13 +68,9 @@ impl<A: Actor> Shard<A> {
     /// when given) and at or before `until_incl`. Returns whether an event
     /// was processed.
     pub(crate) fn step_bounded(&mut self, horizon_excl: Option<u64>, until_incl: SimTime) -> bool {
-        let Some(at) = self.core.queue.peek_at() else {
+        let Some((at, _key, ev)) = self.core.queue.pop_before(until_incl, horizon_excl) else {
             return false;
         };
-        if at > until_incl || horizon_excl.is_some_and(|h| at.0 >= h) {
-            return false;
-        }
-        let (at, _key, ev) = self.core.queue.pop().expect("peeked");
         debug_assert!(at >= self.core.now, "time went backwards");
         self.core.now = at;
         self.core.stats.dispatched += 1;

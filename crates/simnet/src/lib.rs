@@ -25,7 +25,7 @@
 //! | `lookahead` | conservative per-shard-pair bounds from the latency matrix    |
 //! | `shard`     | the epoch executor (barriers, mailboxes, horizons)            |
 //! | `stats`     | counters and accounting types                                 |
-//! | `conn`, `wheel`, `latency`, `churn`, `time` | the connection slab, the timer wheel, the latency and churn models, virtual time |
+//! | `conn`, `wheel`, `latency`, `churn`, `time` | the connection slab, the slab-backed timer wheel, the latency and churn models, virtual time |
 //!
 //! Design follows the sans-io idiom of the session guides (smoltcp, Tokio
 //! tutorial): no I/O and no wall clock inside protocol state machines,

@@ -733,6 +733,7 @@ impl<M, C> SimCore<M, C> {
             replica_bytes,
             owned_bytes: if shared { 0 } else { owner_bytes },
             shared_bytes: if shared { owner_bytes } else { 0 },
+            queue_bytes: self.queue.queue_bytes(),
         }
     }
 }

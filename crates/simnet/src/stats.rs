@@ -126,6 +126,10 @@ pub struct StateBytes {
     /// Bytes of owner-only columns currently *shared* with a fork via
     /// copy-on-write (zero unless a fork of this engine is alive).
     pub shared_bytes: u64,
+    /// Bytes of this shard's event queue (the timer wheel's slab, list
+    /// heads, staging and far heap), at capacity: follows the peak queue
+    /// population. A fork copies it.
+    pub queue_bytes: u64,
 }
 
 impl StateBytes {
@@ -137,6 +141,7 @@ impl StateBytes {
         self.replica_bytes += o.replica_bytes;
         self.owned_bytes += o.owned_bytes;
         self.shared_bytes += o.shared_bytes;
+        self.queue_bytes += o.queue_bytes;
     }
 }
 

@@ -8,7 +8,7 @@ use std::collections::BinaryHeap;
 
 /// The reference scheduler: a global min-heap on `(time, seq)` — the
 /// pre-timer-wheel implementation of the engine queue.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct RefHeap {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
@@ -50,50 +50,82 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// A wheel and the reference it must agree with, plus the script's
+/// virtual clock. Cloning it forks the wheel mid-script.
+#[derive(Clone, Default)]
+struct Pair {
+    wheel: TimerWheel<u32>,
+    reference: RefHeap,
+    now: u64,
+    seq: u64,
+    queued: u64,
+}
 
-    #[test]
-    fn wheel_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        let mut wheel: TimerWheel<u32> = TimerWheel::new();
-        let mut reference = RefHeap::default();
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        let mut pushed = 0u64;
-        let mut popped = 0u64;
-        for op in &ops {
-            match op {
-                Op::Push { delay } => {
-                    let at = now.saturating_add(*delay);
-                    wheel.push(SimTime(at), seq, seq as u32);
-                    reference.push(at, seq, seq as u32);
-                    seq += 1;
-                    pushed += 1;
-                }
-                Op::Pop => {
-                    let got = wheel.pop().map(|(t, s, i)| (t.0, s, i));
-                    let want = reference.pop();
-                    prop_assert_eq!(got, want, "pop mismatch mid-script");
-                    if let Some((t, _, _)) = got {
-                        prop_assert!(t >= now, "time went backwards");
-                        now = t;
-                        popped += 1;
-                    }
+impl Pair {
+    fn apply(&mut self, op: &Op) {
+        match op {
+            Op::Push { delay } => {
+                let at = self.now.saturating_add(*delay);
+                self.wheel.push(SimTime(at), self.seq, self.seq as u32);
+                self.reference.push(at, self.seq, self.seq as u32);
+                self.seq += 1;
+                self.queued += 1;
+            }
+            Op::Pop => {
+                let got = self.wheel.pop().map(|(t, s, i)| (t.0, s, i));
+                let want = self.reference.pop();
+                prop_assert_eq!(got, want, "pop mismatch mid-script");
+                if let Some((t, _, _)) = got {
+                    prop_assert!(t >= self.now, "time went backwards");
+                    self.now = t;
+                    self.queued -= 1;
                 }
             }
-            prop_assert_eq!(wheel.len() as u64, pushed - popped);
         }
-        // Drain both completely: every remaining event must come out in the
-        // same (time, seq) order.
+        prop_assert_eq!(self.wheel.len() as u64, self.queued);
+    }
+
+    /// Every remaining event must come out in the reference's
+    /// `(time, seq)` order.
+    fn drain(&mut self) {
         loop {
-            let got = wheel.pop().map(|(t, s, i)| (t.0, s, i));
-            let want = reference.pop();
+            let got = self.wheel.pop().map(|(t, s, i)| (t.0, s, i));
+            let want = self.reference.pop();
             prop_assert_eq!(got, want, "drain mismatch");
             if got.is_none() {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty());
+        prop_assert!(self.wheel.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The wheel is cloned at a random point of the script; the original
+    /// and the fork each run the rest of it (pushes reuse freed nodes, pops
+    /// drain slots staged before the fork) and drain against their own
+    /// copy of the reference.
+    #[test]
+    fn wheel_matches_reference_heap(
+        ops in proptest::collection::vec(op_strategy(), 1..400),
+        fork_at in any::<usize>(),
+    ) {
+        let fork_at = fork_at % ops.len();
+        let mut pair = Pair::default();
+        let mut fork = None;
+        for (i, op) in ops.iter().enumerate() {
+            if i == fork_at {
+                fork = Some(pair.clone());
+            }
+            pair.apply(op);
+            if let Some(f) = fork.as_mut() {
+                f.apply(op);
+            }
+        }
+        pair.drain();
+        fork.expect("fork_at < ops.len()").drain();
     }
 
     #[test]
