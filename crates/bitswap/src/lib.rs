@@ -15,6 +15,8 @@
 //! what a fetch's broadcast costs every neighbour, touch the want table
 //! only.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod messages;
 pub mod store;

@@ -10,6 +10,8 @@
 //! address plan) and *queried* by `tcsb-core` (the analysis pipeline); this
 //! crate is pure mechanism.
 
+#![forbid(unsafe_code)]
+
 pub mod dbs;
 pub mod trie;
 

@@ -437,12 +437,6 @@ impl Actor for EcoActor {
         }
     }
 
-    fn on_stop(&mut self, ctx: &mut Ctx<'_, WireMsg, EcoCmd>) {
-        if let EcoActor::Node(n) = self {
-            n.handle_stop(ctx);
-        }
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg, EcoCmd>, from: NodeId, msg: WireMsg) {
         match self {
             EcoActor::Node(n) => n.handle_message(ctx, from, msg),

@@ -10,6 +10,8 @@
 //! The [`campaign`] module deploys these tools inside a `netgen` scenario —
 //! the same way the paper's tools ran inside the live IPFS network.
 
+#![forbid(unsafe_code)]
+
 pub mod actors;
 pub mod analysis;
 pub mod campaign;

@@ -88,52 +88,6 @@ fn forked_crawl_does_not_perturb_subsequent_trace() {
     );
 }
 
-/// Fork cost: with the copy-on-write owner columns, creating a fork clones
-/// the event queue but not the per-node state. At fork creation every
-/// owner-only byte is *shared* with the main engine; only shards whose
-/// state the crawl actually mutates get deep-copied, and the main engine
-/// regains exclusive ownership the moment the fork is dropped. Run on a
-/// larger-than-tiny population so a wasteful O(nodes) fork clone would be
-/// visible, and pin the digest to prove the cheap fork is still isolated.
-#[test]
-fn crawl_fork_does_not_clone_owner_columns() {
-    let cfg = ScenarioConfig::quick(13).with_shards(2);
-    let mut c = Campaign::new(netgen::build(cfg), opts());
-    c.run_for(Dur::from_hours(2));
-    let before = c.sim.state_bytes();
-    assert!(before.owned_bytes > 0, "main engine owns its columns");
-    assert_eq!(before.shared_bytes, 0, "no fork alive yet");
-    let mid_digest = c.sim.trace_digest();
-    c.with_fork(|fork| {
-        let at_fork = fork.sim.state_bytes();
-        assert_eq!(
-            at_fork.owned_bytes, 0,
-            "fork creation must not clone owner-only columns"
-        );
-        assert_eq!(
-            at_fork.shared_bytes, before.owned_bytes,
-            "all owner-only state starts shared with the main engine"
-        );
-        let idx = fork.crawl(Dur::from_mins(40));
-        assert!(fork.snapshots()[idx].peer_count() > 0, "crawl worked");
-        let after_crawl = fork.sim.state_bytes();
-        assert!(
-            after_crawl.owned_bytes > 0,
-            "the crawl copies-on-write the shards it touches"
-        );
-    });
-    let restored = c.sim.state_bytes();
-    assert_eq!(
-        restored.shared_bytes, 0,
-        "dropping the fork returns exclusive ownership to the main engine"
-    );
-    assert_eq!(
-        c.sim.trace_digest(),
-        mid_digest,
-        "cheap fork is still perfectly isolated"
-    );
-}
-
 #[test]
 fn fork_restores_clock_and_crawl_state() {
     let mut c = campaign(31, 1);

@@ -58,7 +58,6 @@ fn tiny_campaign_replica_bytes_stay_o_nodes() {
                 l.shard,
                 l.state.replica_bytes
             );
-            assert_eq!(l.state.shared_bytes, 0, "no fork alive");
         }
     }
 }

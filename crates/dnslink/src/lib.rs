@@ -6,6 +6,8 @@
 //! RFC-1464 DNSLink parsing, and a passive-DNS observation feed standing in
 //! for SIE Europe.
 
+#![forbid(unsafe_code)]
+
 pub mod link;
 pub mod records;
 pub mod scanner;

@@ -6,6 +6,8 @@
 //! contenthash encoding, and the Etherscan-style paged log extraction that
 //! yields the 20.6k `ipfs_ns` records the paper analyzes.
 
+#![forbid(unsafe_code)]
+
 pub mod contenthash;
 pub mod contracts;
 pub mod extract;

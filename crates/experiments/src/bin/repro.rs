@@ -266,13 +266,12 @@ whatif-cloud-exit, whatif-recovery, engine, budget, telemetry, workload-replay"
             for l in &data.loads {
                 println!(
                     "s{} owned_nodes={} dispatched={} replica_bytes={} owned_bytes={} \
-shared_bytes={} queue_bytes={} epochs={} barrier_waits={} mailbox_out_events={} mailbox_out_bytes={}",
+queue_bytes={} epochs={} barrier_waits={} mailbox_out_events={} mailbox_out_bytes={}",
                     l.shard,
                     l.state.owned_nodes,
                     l.dispatched,
                     l.state.replica_bytes,
                     l.state.owned_bytes,
-                    l.state.shared_bytes,
                     l.state.queue_bytes,
                     l.sync.epochs,
                     l.sync.barrier_waits,

@@ -18,6 +18,8 @@
 //!
 //! The `repro` binary dispatches these and can emit EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod crawl_exp;
 pub mod entry_exp;
 pub mod recovery_exp;

@@ -196,12 +196,11 @@ wall {:.1}s · {:.0} events/s · peak shard-queue {} · shards {}",
         let nodes = total.nodes.max(1);
         r.note(format!(
             "state bytes (shard-layout-dependent, excluded from the byte-identity contract): \
-{} nodes · replica {} B total ({:.1} B/node/shard) · owner-only {} B · fork-shared {} B",
+{} nodes · replica {} B total ({:.1} B/node/shard) · owner-only {} B",
             total.nodes,
             total.replica_bytes,
             total.replica_bytes as f64 / (nodes * loads.len() as u64) as f64,
             total.owned_bytes,
-            total.shared_bytes,
         ));
         let per_shard: Vec<String> = loads
             .iter()

@@ -19,10 +19,6 @@ impl Actor for NodeActor {
         self.0.handle_start(ctx);
     }
 
-    fn on_stop(&mut self, ctx: &mut Ctx<'_, WireMsg, NodeCmd>) {
-        self.0.handle_stop(ctx);
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_, WireMsg, NodeCmd>, from: NodeId, msg: WireMsg) {
         self.0.handle_message(ctx, from, msg);
     }

@@ -851,3 +851,42 @@ fn peer_dropped_by_a_failed_query_is_flagged_when_it_comes_back() {
     st.ping_as(p, id);
     assert_eq!(st.flag(id), Some(true));
 }
+
+#[test]
+fn session_restart_leaves_nothing_behind() {
+    let mut st = Stage::new(2, |_| {});
+    let server = PeerId::from_seed(100);
+    st.identify(NodeId(1), server);
+    // A relay reservation served, a fetch in its Bitswap phase, a walk
+    // waiting on an RPC the puppet never answers, and a dial still under
+    // way to an endpoint that went away.
+    st.tell(
+        NodeId(2),
+        Script::Say(NODE, WireMsg::RelayReserve { from: server }),
+    );
+    let gone = st.sim.add_node(Scripted::Puppet, NodeSetup::public(ip(9)));
+    st.sim.schedule_down(st.sim.now(), gone);
+    let cid = Cid::from_seed(1);
+    for cmd in [
+        NodeCmd::Fetch { cid },
+        NodeCmd::Provide { cid },
+        NodeCmd::HttpGet {
+            frontend: gone,
+            cid,
+        },
+    ] {
+        st.sim
+            .schedule_command(st.sim.now(), NODE, Script::Node(cmd));
+    }
+    st.sim.run_for(Dur::from_secs(1));
+    assert!(st.node().bitswap().is_fetching(&cid));
+    assert!(!st.node().session_is_fresh());
+    // Down and up again: `handle_start` arms timers only (no bootstrap
+    // peers configured), so the session must be `Session::default()`.
+    st.sim.schedule_down(st.sim.now(), NODE);
+    st.sim
+        .schedule_up(st.sim.now() + Dur::from_secs(1), NODE, None);
+    st.sim.run_for(Dur::from_secs(2));
+    assert!(st.sim.core().is_online(NODE));
+    assert!(st.node().session_is_fresh());
+}

@@ -8,6 +8,8 @@
 //! Everything here is deterministic and allocation-light; no I/O, no global
 //! state, in the spirit of a sans-io protocol core.
 
+#![forbid(unsafe_code)]
+
 pub mod base;
 pub mod cid;
 pub mod fxhash;

@@ -10,6 +10,8 @@
 //! inside the simulator, and `tcsb-core`'s measurement tools speak the same
 //! message types.
 
+#![forbid(unsafe_code)]
+
 pub mod dht;
 pub mod lookup;
 pub mod messages;

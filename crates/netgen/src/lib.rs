@@ -6,6 +6,8 @@
 //! in [`paper::PAPER`]). Pure data: the simulation and measurement layers
 //! live in `tcsb-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod paper;
 pub mod placement;

@@ -89,14 +89,14 @@ impl<'a, M: Clone + std::fmt::Debug, C: std::fmt::Debug> Ctx<'a, M, C> {
     /// This node's deterministic RNG.
     pub fn rng(&mut self) -> &mut StdRng {
         let l = self.core.local(self.me);
-        &mut self.core.o().hot[l].rng
+        &mut self.core.owned.hot[l].rng
     }
 
     /// Remote address of a *connected* peer, as captured from the
     /// handshake (what a TCP accept would show).
     pub fn addr_of(&self, peer: NodeId) -> Option<SocketAddrV4> {
         self.core
-            .owned()
+            .owned
             .conns
             .get_addr(self.core.local(self.me), peer)
     }
@@ -109,7 +109,7 @@ impl<'a, M: Clone + std::fmt::Debug, C: std::fmt::Debug> Ctx<'a, M, C> {
     /// Whether the connection to `peer` was established through a relay.
     pub fn is_relayed(&self, peer: NodeId) -> bool {
         self.core
-            .owned()
+            .owned
             .conns
             .get_relayed(self.core.local(self.me), peer)
             .unwrap_or(false)
@@ -182,7 +182,7 @@ impl<'a, M: Clone + std::fmt::Debug, C: std::fmt::Debug> Ctx<'a, M, C> {
     /// arrives, one link latency later.
     pub fn disconnect(&mut self, peer: NodeId) {
         let l = self.core.local(self.me);
-        if self.core.o().conns.remove(l, peer) {
+        if self.core.owned.conns.remove(l, peer) {
             self.core.push_link(
                 self.me,
                 peer,

@@ -59,7 +59,7 @@ impl<A: Actor> Shard<A> {
 
     /// Telemetry for a connection half that just opened in window `l`.
     fn observe_occupancy(&self, l: usize) {
-        let occ = self.core.owned().conns.len(l) as u64;
+        let occ = self.core.owned.conns.len(l) as u64;
         telemetry::observe(telemetry::Metric::ConnOccupancy, occ);
         telemetry::gauge_max(telemetry::Gauge::ConnOccupancyPeak, occ);
     }
@@ -87,14 +87,14 @@ impl<A: Actor> Shard<A> {
                 // Receiver-side checks only: the receiver must be up and
                 // must still hold its half of the connection.
                 let tl = self.core.local(to);
-                let o = self.core.owned();
+                let o = &self.core.owned;
                 if o.hot[tl].flags & F_ONLINE == 0 || !o.conns.contains(tl, from) {
                     self.core.stats.msgs_dropped += 1;
                     return;
                 }
                 if self.core.cfg.loss > 0.0 {
                     let loss = self.core.cfg.loss;
-                    if self.core.o().hot[tl].rng.random_bool(loss) {
+                    if self.core.owned.hot[tl].rng.random_bool(loss) {
                         self.core.stats.msgs_lost += 1;
                         return;
                     }
@@ -111,14 +111,14 @@ impl<A: Actor> Shard<A> {
             } => {
                 let tl = self.core.local(target);
                 let ok = {
-                    let f = self.core.owned().hot[tl].flags;
+                    let f = self.core.owned.hot[tl].flags;
                     f & F_ONLINE != 0
                         && (relayed || f & F_DIALABLE != 0)
                         && dialer != target
                         && self.core.link_allowed(dialer, target)
                 };
                 if ok {
-                    let target_addr = self.core.owned().addr[tl];
+                    let target_addr = self.core.owned.addr[tl];
                     let at = self.core.push_link(
                         target,
                         dialer,
@@ -144,7 +144,7 @@ impl<A: Actor> Shard<A> {
                             relayed,
                         },
                     );
-                    self.core.o().pending_accepts[tl].push((dialer, at));
+                    self.core.owned.pending_accepts[tl].push((dialer, at));
                 } else {
                     self.fail_dial(target, dialer, target, relayed, started);
                 }
@@ -160,7 +160,7 @@ impl<A: Actor> Shard<A> {
                 // state: it must be up, still hold the target connection,
                 // and be reachable from the dialer across any partition.
                 let rl = self.core.local(relay);
-                let o = self.core.owned();
+                let o = &self.core.owned;
                 let ok = o.hot[rl].flags & F_ONLINE != 0
                     && o.conns.contains(rl, target)
                     && self.core.link_allowed(dialer, relay);
@@ -189,7 +189,7 @@ impl<A: Actor> Shard<A> {
                 started,
             } => {
                 let dl = self.core.local(dialer);
-                if self.core.owned().hot[dl].flags & F_ONLINE == 0 {
+                if self.core.owned.hot[dl].flags & F_ONLINE == 0 {
                     return;
                 }
                 // A partition activated mid-handshake blocks the final ACK:
@@ -202,7 +202,10 @@ impl<A: Actor> Shard<A> {
                 if ok {
                     // The dialer's half opens when the handshake completes
                     // (the target's half opens at the same instant).
-                    self.core.o().conns.insert(dl, target, relayed, target_addr);
+                    self.core
+                        .owned
+                        .conns
+                        .insert(dl, target, relayed, target_addr);
                     self.core.stats.dials_ok += 1;
                 } else {
                     self.core.stats.dials_failed += 1;
@@ -237,12 +240,12 @@ impl<A: Actor> Shard<A> {
                 // accept belongs to a session that no longer exists — e.g.
                 // the target bounced and rejoined within the window.
                 let tl = self.core.local(target);
-                let pending = &mut self.core.o().pending_accepts[tl];
+                let pending = &mut self.core.owned.pending_accepts[tl];
                 let Some(pos) = pending.iter().position(|&(d, _)| d == dialer) else {
                     return;
                 };
                 pending.remove(pos);
-                if self.core.owned().hot[tl].flags & F_ONLINE == 0 {
+                if self.core.owned.hot[tl].flags & F_ONLINE == 0 {
                     return;
                 }
                 // Mirror of the DialOutcome partition check: a split that
@@ -251,8 +254,11 @@ impl<A: Actor> Shard<A> {
                 if !self.core.link_allowed(dialer, target) {
                     return;
                 }
-                if !self.core.owned().conns.contains(tl, dialer) {
-                    self.core.o().conns.insert(tl, dialer, relayed, dialer_addr);
+                if !self.core.owned.conns.contains(tl, dialer) {
+                    self.core
+                        .owned
+                        .conns
+                        .insert(tl, dialer, relayed, dialer_addr);
                     self.observe_occupancy(tl);
                     self.with_actor(target, |a, ctx| {
                         a.on_inbound_connection(ctx, dialer, relayed)
@@ -289,10 +295,10 @@ impl<A: Actor> Shard<A> {
             }
             Ev::NodeUp { node, addr } => {
                 let l = self.core.local(node);
-                if self.core.owned().hot[l].flags & (F_ONLINE | F_RETIRED) != 0 {
+                if self.core.owned.hot[l].flags & (F_ONLINE | F_RETIRED) != 0 {
                     return;
                 }
-                let o = self.core.o();
+                let o = &mut self.core.owned;
                 if let Some(addr) = addr {
                     o.addr[l] = addr;
                 }
@@ -301,11 +307,11 @@ impl<A: Actor> Shard<A> {
             }
             Ev::NodeDown { node } => {
                 let l = self.core.local(node);
-                if self.core.owned().hot[l].flags & F_ONLINE == 0 {
+                if self.core.owned.hot[l].flags & F_ONLINE == 0 {
                     return;
                 }
                 self.with_actor(node, |a, ctx| a.on_stop(ctx));
-                self.core.o().hot[l].flags &= !F_ONLINE;
+                self.core.owned.hot[l].flags &= !F_ONLINE;
                 // Our halves close now; each peer gets a FIN one link
                 // latency later (ascending peer order — the pool window is
                 // sorted, so the latency draw sequence is deterministic).
@@ -313,8 +319,8 @@ impl<A: Actor> Shard<A> {
                 // earlier than the dialer's DialOutcome, so a dial that
                 // reported success against a dying target is closed right
                 // after it opens instead of leaking a stale half.
-                let open = self.core.o().conns.take_all(l);
-                let pending = std::mem::take(&mut self.core.o().pending_accepts[l]);
+                let open = self.core.owned.conns.take_all(l);
+                let pending = std::mem::take(&mut self.core.owned.pending_accepts[l]);
                 let fins = open.iter().map(|e| (e.peer, SimTime::ZERO));
                 for (peer, not_before) in fins.chain(pending) {
                     let at = self.core.link_arrival(node, peer).max(not_before);
@@ -327,13 +333,13 @@ impl<A: Actor> Shard<A> {
             }
             Ev::ConnClosed { node, peer } => {
                 let l = self.core.local(node);
-                if self.core.owned().hot[l].flags & F_ONLINE == 0 {
+                if self.core.owned.hot[l].flags & F_ONLINE == 0 {
                     return;
                 }
                 // FIN arrival: close our half if it is still open. A half
                 // already gone (we disconnected concurrently, or a kill
                 // swept it) is swallowed — both ends already knew.
-                if self.core.o().conns.remove(l, peer) {
+                if self.core.owned.conns.remove(l, peer) {
                     self.with_actor(node, |a, ctx| a.on_connection_closed(ctx, peer));
                 }
             }
@@ -360,12 +366,12 @@ impl<A: Actor> Shard<A> {
                 // for every shard count.
                 if primary {
                     let l = self.core.local(node);
-                    let o = self.core.o();
+                    let o = &mut self.core.owned;
                     o.hot[l].flags &= !F_ONLINE;
                     o.conns.clear(l);
                     o.pending_accepts[l].clear();
                 }
-                let o = self.core.o();
+                let o = &mut self.core.owned;
                 for l in 0..o.ids.len() {
                     if o.ids[l] != node {
                         o.conns.remove(l, node);
@@ -374,7 +380,7 @@ impl<A: Actor> Shard<A> {
             }
             Fault::Retire { node } => {
                 let l = self.core.local(node);
-                self.core.o().hot[l].flags |= F_RETIRED;
+                self.core.owned.hot[l].flags |= F_RETIRED;
             }
             Fault::SetNetClass { node, class } => {
                 // Replicated on every shard: partition checks must never
@@ -395,11 +401,11 @@ impl<A: Actor> Shard<A> {
                 // the actor callback ordering is deterministic and
                 // shard-invariant; the peer's side runs the same sweep on
                 // its own shard at the same virtual instant.
-                for l in 0..self.core.owned().len() {
-                    let a = self.core.owned().ids[l];
+                for l in 0..self.core.owned.len() {
+                    let a = self.core.owned.ids[l];
                     let crossing: Vec<NodeId> = self
                         .core
-                        .owned()
+                        .owned
                         .conns
                         .peers(l)
                         .filter(|&b| !self.core.link_allowed(a, b))

@@ -9,9 +9,9 @@
 //!
 //! Built for scale: nodes partition into shards, each with its own timer
 //! wheel and connection slab, one worker thread per shard under conservative
-//! epoch synchronization; per-node state is struct-of-arrays behind a
-//! copy-on-write `Arc`, so engine forks are O(queue), not O(nodes).
-//! [`Sim::trace_digest`] is byte-identical for every shard count.
+//! epoch synchronization; per-node state is struct-of-arrays, and an engine
+//! fork is a plain clone. [`Sim::trace_digest`] is byte-identical for every
+//! shard count.
 //!
 //! Everything a caller needs is in the `pub use` list below. Behind it, one
 //! module per responsibility:
@@ -19,7 +19,7 @@
 //! | module      | owns                                                          |
 //! |-------------|---------------------------------------------------------------|
 //! | `sim`       | the [`Sim`] harness and [`CoreView`], the one read-only view; the **determinism contract** and sharded-execution text |
-//! | `state`     | per-shard state columns, the event enum, routing, the digest fold; the **memory-layout** text and the crate's one `unsafe` |
+//! | `state`     | per-shard state columns, the event enum, routing, the digest fold; the **memory-layout** text |
 //! | `ctx`       | [`Actor`], [`Ctx`], [`NodeSetup`] — what protocol code sees   |
 //! | `dispatch`  | one shard's event loop: fabric, dial protocol, lifecycle, faults |
 //! | `lookahead` | conservative per-shard-pair bounds from the latency matrix    |
@@ -30,6 +30,8 @@
 //! Design follows the sans-io idiom of the session guides (smoltcp, Tokio
 //! tutorial): no I/O and no wall clock inside protocol state machines,
 //! `Dur`-based timeouts, cancellation-safe callback boundaries.
+
+#![forbid(unsafe_code)]
 
 pub mod churn;
 pub mod conn;

@@ -82,11 +82,8 @@ pub struct Sim<A: Actor> {
 /// replays the identical future for the same harness calls, and whatever
 /// is done to it leaves the original untouched — the primitive behind
 /// mid-campaign observatory samples (crawls, probes) that must not
-/// perturb the main trace. The owner-only engine columns (RNGs,
-/// connection slabs, flags, addresses) are *shared* copy-on-write: the
-/// clone itself is O(queued events + replica columns), and a shard's
-/// owner state is deep-copied only when the fork (or, while the fork is
-/// alive, the original) first writes it.
+/// perturb the main trace. A fork is a plain deep copy — queue slab,
+/// state columns, actors — and shares nothing with the original.
 impl<A: Actor + Clone> Clone for Sim<A>
 where
     A::Msg: Clone,
@@ -148,7 +145,7 @@ impl<'a, A: Actor> CoreView<'a, A> {
     /// A node's region.
     pub fn region(&self, node: NodeId) -> RegionId {
         let core = &self.sim.owner(node).core;
-        core.owned().region[core.local(node)]
+        core.owned.region[core.local(node)]
     }
 
     /// Whether `a` holds its half of a connection to `b` (symmetric at
@@ -343,9 +340,9 @@ impl<A: Actor> Sim<A> {
         let core = &mut self.owner_mut(node).core;
         let l = core.local(node);
         if dialable {
-            core.o().hot[l].flags |= F_DIALABLE;
+            core.owned.hot[l].flags |= F_DIALABLE;
         } else {
-            core.o().hot[l].flags &= !F_DIALABLE;
+            core.owned.hot[l].flags &= !F_DIALABLE;
         }
     }
 
@@ -357,7 +354,7 @@ impl<A: Actor> Sim<A> {
             let peer_addr = self.owner(peer).core.addr(peer);
             let core = &mut self.owner_mut(me).core;
             let l = core.local(me);
-            core.o().conns.insert(l, peer, relayed, peer_addr);
+            core.owned.conns.insert(l, peer, relayed, peer_addr);
         }
     }
 

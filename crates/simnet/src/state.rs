@@ -14,13 +14,9 @@
 //! RNG, sequence counter, pending accepts, connection halves) lives in
 //! dense *owner-only* columns indexed by a per-shard local index, so total
 //! state is O(nodes × 8B × shards + nodes × owner-state) instead of
-//! O(nodes × ~300B × shards). The owner columns sit behind an [`Arc`] with
-//! copy-on-write semantics: cloning an engine for a fork (the observatory
-//! primitive) shares them and copies only on first write, which makes
-//! `Sim::clone` O(queued events), not O(nodes). [`SimCore::state_bytes`]
-//! reports the measured split. The `Arc` field is private to this module
-//! and [`SimCore::o`] is the only way to a `&mut` of the columns — the
-//! condition the crate's one `unsafe` block relies on.
+//! O(nodes × ~300B × shards). [`SimCore::state_bytes`] reports the measured
+//! split. Cloning an engine for a fork (the observatory primitive) copies
+//! the columns along with the queue and the actors; nothing is shared.
 //!
 //! # Trace digest
 //!
@@ -40,7 +36,6 @@ use crate::SimStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddrV4;
-use std::sync::Arc;
 
 /// Dense node handle.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -160,8 +155,7 @@ pub(crate) struct HotNode {
 }
 
 /// Owner-only per-node state, stored *densely* (indexed by local index) at
-/// the owning shard and nowhere else. Kept behind an [`Arc`] in
-/// [`SimCore`]: forks share the columns and copy on first write.
+/// the owning shard and nowhere else.
 #[derive(Clone, Default)]
 pub(crate) struct OwnedColumns {
     /// local index → global node id (append-only, ascending).
@@ -243,9 +237,8 @@ pub(crate) struct SimCore<M, C> {
     /// Region clamped against the latency matrix, cached for the send
     /// path (full length, immutable after registration).
     pub(crate) region_idx: Vec<u16>,
-    /// Owner-only columns for the nodes this shard owns (dense,
-    /// copy-on-write shared with forks). Private: see [`SimCore::o`].
-    owned: Arc<OwnedColumns>,
+    /// Owner-only columns for the nodes this shard owns (dense).
+    pub(crate) owned: OwnedColumns,
     /// Row-major base latency matrix (flattened from the [`LatencyModel`]).
     pub(crate) lat_base: Vec<Dur>,
     pub(crate) lat_dim: usize,
@@ -391,7 +384,7 @@ impl<M, C> SimCore<M, C> {
             owner: Vec::new(),
             net_class: Vec::new(),
             region_idx: Vec::new(),
-            owned: Arc::new(OwnedColumns::default()),
+            owned: OwnedColumns::default(),
             lat_base,
             lat_dim,
             lat_jitter: latency.jitter(),
@@ -430,7 +423,7 @@ impl<M, C> SimCore<M, C> {
         if owner_shard != self.shard {
             return;
         }
-        let o = self.o();
+        let o = &mut self.owned;
         o.ids.push(id);
         o.hot.push(HotNode {
             rng: StdRng::seed_from_u64(node_seed(engine_seed, id.0)),
@@ -451,7 +444,7 @@ impl<M, C> SimCore<M, C> {
         self.net_class.reserve_exact(add);
         self.region_idx.reserve_exact(add);
         let oadd = per_shard.saturating_sub(self.owned.len());
-        let o = self.o();
+        let o = &mut self.owned;
         o.ids.reserve(oadd);
         o.hot.reserve(oadd);
         o.addr.reserve(oadd);
@@ -487,33 +480,6 @@ impl<M, C> SimCore<M, C> {
             "owner-only access to a node owned elsewhere ({node:?})"
         );
         (p & LOCAL_MASK) as usize
-    }
-
-    /// Mutable owner columns (copy-on-write: the first write after a fork
-    /// clone copies them; unique cores pay only an atomic check).
-    ///
-    /// The unique case is the dispatch hot path (several calls per event),
-    /// so it must cost only plain atomic loads; both `make_mut` and
-    /// `get_mut` start with a locked compare-exchange even when no fork is
-    /// alive.
-    #[inline]
-    pub(crate) fn o(&mut self) -> &mut OwnedColumns {
-        if Arc::strong_count(&self.owned) == 1 && Arc::weak_count(&self.owned) == 0 {
-            // SAFETY: `&mut self` makes this `Arc` handle unreachable to
-            // anyone else, and the acquire loads above prove it is the only
-            // handle (strong = 1, weak = 0) — any concurrent dropper of a
-            // second handle finished before we observed 1. With no other
-            // handle and no `Weak`, no alias to the inner value can exist
-            // or be created while the returned borrow lives.
-            return unsafe { &mut *(Arc::as_ptr(&self.owned) as *mut OwnedColumns) };
-        }
-        Arc::make_mut(&mut self.owned)
-    }
-
-    /// Read-only owner columns.
-    #[inline]
-    pub(crate) fn owned(&self) -> &OwnedColumns {
-        &self.owned
     }
 
     /// Route an event to the shard owning `target` under an existing key.
@@ -553,7 +519,7 @@ impl<M, C> SimCore<M, C> {
     pub(crate) fn push_from(&mut self, origin: NodeId, target: NodeId, at: SimTime, ev: Ev<M, C>) {
         let l = self.local(origin);
         let oseq = {
-            let h = &mut self.o().hot[l];
+            let h = &mut self.owned.hot[l];
             debug_assert!(h.oseq < u32::MAX, "per-origin sequence overflow");
             let q = h.oseq;
             h.oseq += 1;
@@ -572,7 +538,7 @@ impl<M, C> SimCore<M, C> {
         let base = self.lat_base[ia * self.lat_dim + ib];
         let l = self.local(from);
         let jitter = self.lat_jitter;
-        self.now + crate::latency::apply_jitter(base, jitter, &mut self.o().hot[l].rng)
+        self.now + crate::latency::apply_jitter(base, jitter, &mut self.owned.hot[l].rng)
     }
 
     /// Schedule `ev` at `to` one link latency from now, keyed by `from`.
@@ -718,21 +684,18 @@ impl<M, C> SimCore<M, C> {
     }
 
     /// Measured state split for this shard: replicated bytes vs owner-only
-    /// bytes, the latter classified as exclusive or fork-shared. Counted
-    /// from vector capacities — what the allocator actually reserved.
+    /// bytes. Counted from vector capacities — what the allocator actually
+    /// reserved.
     pub(crate) fn state_bytes(&self) -> StateBytes {
         use std::mem::size_of;
         let replica_bytes = (self.owner.capacity() * size_of::<u32>()
             + self.net_class.capacity() * size_of::<u16>()
             + self.region_idx.capacity() * size_of::<u16>()) as u64;
-        let owner_bytes = self.owned.bytes();
-        let shared = Arc::strong_count(&self.owned) > 1;
         StateBytes {
             nodes: self.owner.len() as u64,
             owned_nodes: self.owned.len() as u64,
             replica_bytes,
-            owned_bytes: if shared { 0 } else { owner_bytes },
-            shared_bytes: if shared { owner_bytes } else { 0 },
+            owned_bytes: self.owned.bytes(),
             queue_bytes: self.queue.queue_bytes(),
         }
     }

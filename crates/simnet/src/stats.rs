@@ -121,11 +121,8 @@ pub struct StateBytes {
     /// Bytes of the replicated columns (owner handle + partition class +
     /// region index): the per-extra-shard cost of sharding.
     pub replica_bytes: u64,
-    /// Bytes of the owner-only columns this core holds *exclusively*.
+    /// Bytes of the owner-only columns.
     pub owned_bytes: u64,
-    /// Bytes of owner-only columns currently *shared* with a fork via
-    /// copy-on-write (zero unless a fork of this engine is alive).
-    pub shared_bytes: u64,
     /// Bytes of this shard's event queue (the timer wheel's slab, list
     /// heads, staging and far heap), at capacity: follows the peak queue
     /// population. A fork copies it.
@@ -140,7 +137,6 @@ impl StateBytes {
         self.owned_nodes += o.owned_nodes;
         self.replica_bytes += o.replica_bytes;
         self.owned_bytes += o.owned_bytes;
-        self.shared_bytes += o.shared_bytes;
         self.queue_bytes += o.queue_bytes;
     }
 }

@@ -21,6 +21,8 @@
 //! the trace digest is byte-identical with telemetry on or off, at every
 //! shard count, and the test suite asserts it.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod flight;

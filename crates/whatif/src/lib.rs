@@ -38,6 +38,8 @@
 //! an empty plan is byte-identical to a campaign that never heard of this
 //! crate (both are asserted in `tests/`).
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod compile;
 pub mod probe;
