@@ -15,14 +15,14 @@ use experiments::{resilience_exp, Scale};
 /// Pinned per-row digests for seed `42 ^ 0xC10D` (the `repro` default
 /// derivation) at tiny scale, in sweep order.
 const GOLDEN: &[(&str, u64)] = &[
-    ("baseline (no exit)", 0xe1f5366aa9ead22c),
-    ("25% of cloud peers exit (abrupt)", 0x10b9e35e10ac3aeb),
-    ("50% of cloud peers exit (abrupt)", 0x83ebc93d4a0089d6),
-    ("75% of cloud peers exit (abrupt)", 0xd19c79c832a5d106),
-    ("100% of cloud peers exit (abrupt)", 0xf986fbfb43218ab1),
-    ("50% of cloud peers exit (graceful)", 0x2089a2a1bad68ef3),
-    ("all Hydras exit (abrupt)", 0x1c16a6456e723dcb),
-    ("EU region partitioned (heals at T+6h)", 0x50dbeaa550263fe9),
+    ("baseline (no exit)", 0xacffbdf87ad6f118),
+    ("25% of cloud peers exit (abrupt)", 0x1b24e2ec2e65df2e),
+    ("50% of cloud peers exit (abrupt)", 0x459b4e68b5243ce0),
+    ("75% of cloud peers exit (abrupt)", 0x248c158473a559fb),
+    ("100% of cloud peers exit (abrupt)", 0xca661f2a0526de8a),
+    ("50% of cloud peers exit (graceful)", 0xfc19127d411cae86),
+    ("all Hydras exit (abrupt)", 0xc33a142937bb0952),
+    ("EU region partitioned (heals at T+6h)", 0xf3bdba211613eea0),
 ];
 
 #[test]

@@ -119,6 +119,13 @@ impl IpfsNode {
         action: Option<PostDial>,
     ) {
         if target == ctx.me() {
+            // Nobody connects to themselves. An answer naming our own
+            // endpoint (a responder echoing the requester, our previous
+            // identity in somebody's table) counts as a failed dial, or the
+            // lookup that queued `action` would wait on it forever.
+            if let Some(a) = action {
+                self.fail_post_dial(ctx, a);
+            }
             return;
         }
         if ctx.is_connected(target) {

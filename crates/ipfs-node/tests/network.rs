@@ -852,6 +852,8 @@ fn peer_dropped_by_a_failed_query_is_flagged_when_it_comes_back() {
     assert_eq!(st.flag(id), Some(true));
 }
 
+/// `IpfsNode::session_is_fresh` exists in builds with debug assertions only.
+#[cfg(debug_assertions)]
 #[test]
 fn session_restart_leaves_nothing_behind() {
     let mut st = Stage::new(2, |_| {});
@@ -889,4 +891,81 @@ fn session_restart_leaves_nothing_behind() {
     st.sim.run_for(Dur::from_secs(2));
     assert!(st.sim.core().is_online(NODE));
     assert!(st.node().session_is_fresh());
+}
+
+// ----------------------------------------------------------------------
+// Answers that name the node's own endpoint: nobody dials themselves, so
+// such a candidate has to count as failed — left `Waiting`, it pins the
+// walk (and whatever operation started it) until the node restarts.
+// ----------------------------------------------------------------------
+
+impl Stage {
+    /// `puppet`, speaking as server `id`, answers the node's request
+    /// `req_id` with `closer`.
+    fn answer_nodes(&mut self, puppet: NodeId, id: PeerId, req_id: u64, closer: PeerId) {
+        let peer = |id, endpoint| kademlia::PeerInfo {
+            id,
+            addrs: kademlia::no_addrs(),
+            endpoint,
+        };
+        let msg = WireMsg::Dht(kademlia::DhtMessage {
+            req_id,
+            sender: peer(id, puppet),
+            sender_is_server: true,
+            body: kademlia::DhtBody::Response(kademlia::DhtResponse::Nodes {
+                closer: vec![peer(closer, NODE)],
+            }),
+        });
+        self.tell(puppet, Script::Say(NODE, msg));
+    }
+
+    fn count_events(&self, wanted: impl Fn(&NodeEvent) -> bool) -> usize {
+        self.node().events.iter().filter(|e| wanted(e)).count()
+    }
+}
+
+#[test]
+fn responder_echoing_the_requester_does_not_stall_the_walk() {
+    let mut st = Stage::new(1, |nc| nc.record_events = true);
+    let (p, id) = (NodeId(1), PeerId::from_seed(100));
+    st.identify(p, id);
+    let cid = Cid::from_seed(1);
+    // Ids come off one counter: the provide op takes 1, its first
+    // (only) `FindNode` 2.
+    st.tell(NODE, Script::Node(NodeCmd::Publish { cid, size: 64 }));
+    let me = st.node().peer_id();
+    st.answer_nodes(p, id, 2, me);
+    st.sim.run_for(Dur::from_secs(20));
+    assert_eq!(
+        st.count_events(|e| matches!(e, NodeEvent::Provided { cid: c, .. } if *c == cid)),
+        1,
+        "walk still waiting on the node's own endpoint: {:?}",
+        st.node().events
+    );
+}
+
+#[test]
+fn previous_identity_at_the_own_endpoint_does_not_stall_bootstrap() {
+    let mut st = Stage::new(1, |nc| nc.record_events = true);
+    let (p, id) = (NodeId(1), PeerId::from_seed(100));
+    let old = st.node().peer_id();
+    let seeds = vec![(id, p)];
+    st.tell(NODE, Script::Node(NodeCmd::Bootstrap { seeds }));
+    // The self-lookup's `FindNode` is request 1; an answer that names
+    // nobody new ends it.
+    st.answer_nodes(p, id, 1, id);
+    assert_eq!(st.count_events(|e| *e == NodeEvent::Bootstrapped), 1);
+    // New identity, same endpoint: the restart re-dials the seed and
+    // walks again (request 2). The seed's table still holds the old
+    // identity at this endpoint and hands it back.
+    st.tell(NODE, Script::Node(NodeCmd::AdoptIdentity { seed: 77 }));
+    assert_ne!(st.node().peer_id(), old);
+    st.answer_nodes(p, id, 2, old);
+    st.sim.run_for(Dur::from_secs(20));
+    assert_eq!(
+        st.count_events(|e| *e == NodeEvent::Bootstrapped),
+        2,
+        "self-lookup still waiting on the node's own endpoint: {:?}",
+        st.node().events
+    );
 }
