@@ -9,7 +9,7 @@
 
 use crate::actors::{EcoActor, EcoCmd, Frontend, ReplayDriver, WebUser};
 use crate::crawler::{CrawlSnapshot, Crawler, CrawlerCmd};
-use crate::hydra::{Hydra, HydraConfig, HydraLogEntry};
+use crate::hydra::{Hydra, HydraLogEntry};
 use ipfs_node::{BitswapLogEntry, IpfsNode, NodeCmd, NodeConfig, NodeEvent};
 use ipfs_types::{Cid, Keypair, PeerId};
 use kademlia::ProviderRecord;
@@ -202,13 +202,7 @@ impl Campaign {
                 online: false,
             };
             let actor = if spec.platform == Some(Platform::Hydra) {
-                let h = Hydra::new(
-                    HydraConfig {
-                        heads: scenario.cfg.hydra_heads,
-                        seed_base: 0x1D7A_0000 + ((i as u64) << 8),
-                    },
-                    bootstrap.clone(),
-                );
+                let h = Hydra::new(0x1D7A_0000 + ((i as u64) << 8), bootstrap.clone());
                 EcoActor::Hydra(Box::new(h))
             } else {
                 let mut nc = NodeConfig::regular(spec.identity_seed);
@@ -650,6 +644,22 @@ impl Campaign {
             }
         }
         out
+    }
+
+    /// Provider records held by the scenario nodes right now, as
+    /// `(live, raw)`: `live` counts only unexpired records — what a lookup
+    /// could return — and `raw` also counts expired-but-unpruned ones, so
+    /// `raw - live` is the store garbage a length count would over-report.
+    pub fn provider_record_counts(&self) -> (usize, usize) {
+        let now = self.now();
+        let (mut live, mut raw) = (0, 0);
+        for &id in &self.node_ids {
+            if let EcoActor::Node(n) = self.sim.actor(id) {
+                live += n.dht().providers().record_count(now);
+                raw += n.dht().providers().raw_record_count();
+            }
+        }
+        (live, raw)
     }
 
     /// Reachability check for a provider record, equivalent to the paper's

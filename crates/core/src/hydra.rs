@@ -34,28 +34,10 @@ pub struct HydraLogEntry {
     pub cid: Option<Cid>,
 }
 
-/// Hydra configuration.
-#[derive(Clone, Debug)]
-pub struct HydraConfig {
-    /// Number of virtual heads.
-    pub heads: usize,
-    /// Identity seed base for the heads.
-    pub seed_base: u64,
-}
-
 /// Per-query timeout for proactive lookups.
 const RPC_TIMEOUT: Dur = Dur::from_secs(10);
 /// Cap on concurrently running proactive lookups.
 const MAX_PROACTIVE: usize = 64;
-
-impl Default for HydraConfig {
-    fn default() -> Self {
-        HydraConfig {
-            heads: 20,
-            seed_base: 0x1D7A_0000,
-        }
-    }
-}
 
 /// The Hydra-booster actor.
 #[derive(Clone)]
@@ -80,10 +62,11 @@ pub struct Hydra {
 }
 
 impl Hydra {
-    /// Build a hydra host with `cfg.heads` virtual identities.
-    pub fn new(cfg: HydraConfig, bootstrap: Vec<(PeerId, NodeId)>) -> Hydra {
-        let heads: Vec<PeerId> = (0..cfg.heads)
-            .map(|i| ipfs_types::Keypair::from_seed(cfg.seed_base + i as u64).peer_id())
+    /// Build a hydra host with [`netgen::HYDRA_HEADS`] virtual identities,
+    /// seeded `seed_base`, `seed_base + 1`, ….
+    pub fn new(seed_base: u64, bootstrap: Vec<(PeerId, NodeId)>) -> Hydra {
+        let heads: Vec<PeerId> = (0..netgen::HYDRA_HEADS)
+            .map(|i| ipfs_types::Keypair::from_seed(seed_base + i as u64).peer_id())
             .collect();
         let table = RoutingTable::new(heads[0].key(), TableConfig::default());
         Hydra {

@@ -31,4 +31,4 @@ pub use counting::{
     DatasetStats,
 };
 pub use crawler::{CrawlSnapshot, CrawledPeer, Crawler, CrawlerCmd};
-pub use hydra::{Hydra, HydraConfig, HydraLogEntry};
+pub use hydra::{Hydra, HydraLogEntry};

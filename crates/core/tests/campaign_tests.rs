@@ -101,7 +101,7 @@ fn workload_generates_monitor_and_hydra_traffic() {
     let heads = c.hydra_heads();
     assert_eq!(
         heads.len(),
-        c.scenario.cfg.hydra_heads * c.scenario.cfg.hydra_hosts
+        netgen::HYDRA_HEADS * c.scenario.cfg.hydra_hosts
     );
     let web = match c.sim.actor(c.webuser) {
         tcsb_core::EcoActor::WebUser(w) => w,

@@ -2,78 +2,48 @@
 //!
 //! ```text
 //! repro all   [--scale tiny|small|quick|stress|paper|internet] [--seed N] [--shards N] [--md PATH]
-//! repro list                                  # enumerate artefacts
-//! repro table1|stats|fig03..fig08             # crawl-group artefacts
-//! repro fig09..fig16|fig17..fig20             # workload-group artefacts
-//! repro whatif-cloud-exit                     # counterfactual sweep
-//! repro engine                                # scheduler counters only
-//! repro budget                                # deterministic per-shard budget
-//! repro telemetry                             # deterministic metrics registry snapshot
-//! repro workload-replay                       # generative Zipf/diurnal/flash request replay
+//! repro list                # every section, scale and flag
+//! repro <section>           # one section of `repro all` (table1, stats, fig03, …, engine-crawl, …)
+//! repro budget              # deterministic per-shard budget (plain text)
+//! repro telemetry           # deterministic metrics registry snapshot (plain text)
+//! repro workload-replay     # generative Zipf/diurnal/flash request replay (plain text)
 //! ```
+//!
+//! The sections, their order and each campaign group's seed derivation
+//! live in `experiments::ARTEFACTS` and `experiments::Group`: `repro
+//! <section>` runs the owning group and prints that one section, which is
+//! by construction what `repro all` prints for it. The three plain-text
+//! artefacts render a campaign's raw data for the CI expectation diffs;
+//! `telemetry` and `workload-replay` share their names with `all` sections
+//! of the same campaigns, and on the command line name the plain text.
 
 //! With `--telemetry` every run also records the flight recorder and the
 //! per-shard epoch profiler; `--flight-out` / `--profile-out` write them
 //! out. The trace digest is byte-identical with telemetry on or off.
 
-use experiments::{
-    crawl_exp, entry_exp, recovery_exp, resilience_exp, telemetry_exp, traffic_exp,
-    workload_replay_exp, Scale, SCALES,
-};
+use experiments::{crawl_exp, telemetry_exp, workload_replay_exp, Group, Scale, ARTEFACTS, SCALES};
 
-/// Every producible artefact: `(name, what it regenerates)`.
-const ARTEFACTS: &[(&str, &str)] = &[
-    ("all", "every table and figure below, in paper order"),
-    ("table1", "Table 1 — counting-methodology worked example"),
-    ("stats", "§3/§4 crawl dataset statistics"),
-    ("fig03", "Fig. 3 — cloud share of DHT servers (A-N vs G-IP)"),
-    ("fig04", "Fig. 4 — cumulative crawls vs unique peers/IPs"),
-    ("fig05", "Fig. 5 — cloud provider attribution"),
-    ("fig06", "Fig. 6 — country attribution"),
-    ("fig07", "Fig. 7 — in-degree distribution"),
-    ("fig08", "Fig. 8 — resilience under node removal"),
-    ("fig09", "Fig. 9 — request frequency in days seen"),
-    ("fig10", "Fig. 10 — traffic share per peer (Lorenz)"),
-    ("fig11", "Fig. 11 — cloud share of DHT/Bitswap traffic"),
-    ("fig12", "Fig. 12 — cloud share of traffic IPs vs messages"),
-    ("fig13", "Fig. 13 — platform attribution of traffic"),
-    ("fig14", "Fig. 14 — provider population classes"),
-    ("fig15", "Fig. 15 — provider-record concentration"),
-    ("fig16", "Fig. 16 — CID cloud-exposure shares"),
-    ("fig17", "Fig. 17 — DNSLink gateway attribution"),
-    ("fig18", "Fig. 18 — gateway frontend attribution"),
-    ("fig19", "Fig. 19 — gateway frontend geolocation"),
-    ("fig20", "Fig. 20 — ENS content attribution"),
-    (
-        "whatif-cloud-exit",
-        "counterfactual — lookup health vs fraction of cloud peers removed",
-    ),
-    (
-        "whatif-recovery",
-        "recovery observatory — crawler-eye timelines over staged multi-wave exits",
-    ),
-    (
-        "engine",
-        "engine counters for the crawl campaign at the chosen scale (scheduler health)",
-    ),
-    (
-        "budget",
-        "deterministic per-shard state/load budget for the crawl campaign (CI expectation diff)",
-    ),
-    (
-        "telemetry",
-        "deterministic virtual-time metrics registry snapshot of the crawl campaign (CI expectation diff)",
-    ),
-    (
-        "workload-replay",
-        "production workload replay — Zipf stream, diurnal cycles, flash crowd (CI expectation diff)",
-    ),
+/// The plain-text artefacts the CI expectation diffs read, as `(name,
+/// what it renders)`.
+const PLAIN: &[(&str, &str)] = &[
+    ("budget", "per-shard budget of the crawl campaign"),
+    ("telemetry", "registry snapshot of the crawl campaign"),
+    ("workload-replay", "replay digests and request accounting"),
 ];
 
+fn is_plain(name: &str) -> bool {
+    PLAIN.iter().any(|p| p.0 == name)
+}
+
 fn print_list() {
-    println!("artefacts:");
     let width = ARTEFACTS.iter().map(|a| a.0.len()).max().unwrap_or(0);
-    for (name, what) in ARTEFACTS {
+    println!("  {:<width$} every section, in paper order", "all");
+    println!("sections (each runs its campaign group, prints what `all` prints for it):");
+    for (name, _, what) in ARTEFACTS.iter().filter(|a| !is_plain(a.0)) {
+        println!("  {name:<width$} {what}");
+    }
+    println!("plain text (CI expectation diffs; `all` prints the sections of that name):");
+    for (name, what) in PLAIN {
         println!("  {name:<width$} {what}");
     }
     let scales: Vec<&str> = SCALES.iter().map(|s| s.name()).collect();
@@ -94,7 +64,7 @@ fn print_list() {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: repro <all|list|table1|stats|figNN> \
+        "usage: repro <all|list|artefact> \
 [--scale tiny|small|quick|stress|paper|internet] [--seed N] [--shards N] [--md PATH]\n\
        run `repro list` to see every artefact name"
     );
@@ -111,13 +81,9 @@ fn main() {
         print_list();
         return;
     }
-    if !ARTEFACTS.iter().any(|(name, _)| *name == cmd) {
+    if cmd != "all" && !is_plain(&cmd) && !ARTEFACTS.iter().any(|a| a.0 == cmd) {
         eprintln!("error: unknown artefact {cmd:?}");
-        eprintln!(
-            "       known artefacts: all, table1, stats, fig03..fig20, \
-whatif-cloud-exit, whatif-recovery, engine, budget, telemetry, workload-replay"
-        );
-        eprintln!("       run `repro list` for the full annotated index");
+        eprintln!("       run `repro list` for every artefact name");
         std::process::exit(2);
     }
     let mut scale = Scale::Small;
@@ -213,40 +179,12 @@ whatif-cloud-exit, whatif-recovery, engine, budget, telemetry, workload-replay"
                 eprintln!("[repro] wrote {path}");
             }
         }
-        "table1" => println!("{}", crawl_exp::table1()),
-        "whatif-cloud-exit" => {
-            // Seed derivation matches `run_all` so the standalone artefact
-            // reproduces the EXPERIMENTS.md section bit-for-bit.
-            println!(
-                "{}",
-                resilience_exp::whatif_cloud_exit(scale, seed ^ 0xC10D, shards)
-            );
-        }
-        "whatif-recovery" => {
-            println!(
-                "{}",
-                recovery_exp::whatif_recovery(scale, seed ^ 0x7EC0, shards)
-            );
-        }
-        "engine" => {
-            let data = crawl_exp::collect(scale.config(seed).with_shards(shards), scale.crawls());
-            println!(
-                "{}",
-                experiments::report::engine_report(
-                    "engine-crawl",
-                    &format!("Engine counters — crawl campaign ({})", scale.name()),
-                    &data.engine,
-                    data.wall_secs,
-                    data.shards,
-                    &data.loads,
-                )
-            );
-        }
         "budget" => {
             // Deterministic per-shard budget: no wall-clock or throughput
             // figures, so the output is stable per (scale, seed, shards)
             // and CI can diff it against a committed expectation file.
-            let data = crawl_exp::collect(scale.config(seed).with_shards(shards), scale.crawls());
+            let cfg = scale.config(Group::Crawl.seed(seed)).with_shards(shards);
+            let data = crawl_exp::collect(cfg, scale.crawls());
             println!(
                 "budget scale={} seed={} shards={}",
                 scale.name(),
@@ -312,68 +250,31 @@ queue_bytes={} epochs={} barrier_waits={} mailbox_out_events={} mailbox_out_byte
             }
         }
         "telemetry" => {
-            // The registry snapshot of the crawl campaign, rendered as
-            // stable plain text for the CI expectation diff. Forces the
-            // registry on for exactly this campaign regardless of the
-            // --telemetry flag.
-            let (data, snap) = telemetry_exp::collect_instrumented(
-                scale.config(seed).with_shards(shards),
-                scale.crawls(),
-            );
+            // The crawl group's registry snapshot as stable plain text for
+            // the CI expectation diff; the registry is on for exactly this
+            // campaign regardless of the --telemetry flag.
+            let cfg = scale.config(Group::Crawl.seed(seed)).with_shards(shards);
+            let (data, snap) =
+                telemetry_exp::instrumented(|| crawl_exp::collect(cfg, scale.crawls()));
             print!(
                 "{}",
                 telemetry_exp::render_lines(scale.name(), seed, data.digest, &snap)
             );
         }
         "workload-replay" => {
-            // Generative request replay; seed derivation matches `run_all`.
-            // Forces the metrics registry on for exactly this campaign and
-            // renders stable plain text (virtual-time figures only) for the
-            // CI 1-vs-4-shard expectation diff.
-            let data = workload_replay_exp::run(scale, seed ^ 0xF00D, shards);
+            // The replay group's campaign as stable plain text (virtual-time
+            // figures only) for the CI 1-vs-4-shard diff.
+            let data = workload_replay_exp::run(scale, Group::Replay.seed(seed), shards);
             print!(
                 "{}",
                 workload_replay_exp::render_lines(scale.name(), seed, &data)
             );
         }
-        "stats" | "fig03" | "fig04" | "fig05" | "fig06" | "fig07" | "fig08" => {
-            let data = crawl_exp::collect(scale.config(seed).with_shards(shards), scale.crawls());
-            let r = match cmd.as_str() {
-                "stats" => crawl_exp::stats(&data),
-                "fig03" => crawl_exp::fig03(&data),
-                "fig04" => crawl_exp::fig04(&data),
-                "fig05" => crawl_exp::fig05(&data),
-                "fig06" => crawl_exp::fig06(&data),
-                "fig07" => crawl_exp::fig07(&data),
-                _ => crawl_exp::fig08(&data),
-            };
-            println!("{r}");
+        name => {
+            let section = experiments::run_one(name, scale, seed, shards)
+                .expect("validated against ARTEFACTS above");
+            println!("{section}");
         }
-        "fig09" | "fig10" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "fig17"
-        | "fig18" | "fig19" | "fig20" => {
-            let mut wl = traffic_exp::run_workload(scale.config(seed ^ 0xBEEF).with_shards(shards));
-            let r = match cmd.as_str() {
-                "fig09" => traffic_exp::fig09(&wl),
-                "fig10" => traffic_exp::fig10(&wl),
-                "fig11" => traffic_exp::fig11(&wl),
-                "fig12" => traffic_exp::fig12(&wl),
-                "fig13" => traffic_exp::fig13(&wl),
-                "fig17" => entry_exp::fig17(&wl.campaign.scenario),
-                "fig18" => traffic_exp::fig18_19(&wl).0,
-                "fig19" => traffic_exp::fig18_19(&wl).1,
-                "fig20" => traffic_exp::fig20(&mut wl, scale.ens_sample()),
-                _ => {
-                    let ds = traffic_exp::collect_providers(&mut wl, scale.provider_sample());
-                    match cmd.as_str() {
-                        "fig14" => traffic_exp::fig14(&wl, &ds),
-                        "fig15" => traffic_exp::fig15(&wl, &ds),
-                        _ => traffic_exp::fig16(&wl, &ds),
-                    }
-                }
-            };
-            println!("{r}");
-        }
-        _ => unreachable!("validated against ARTEFACTS above"),
     }
 
     if let Some(path) = &flight_out {

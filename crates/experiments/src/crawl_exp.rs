@@ -36,11 +36,10 @@ pub struct CrawlData {
     /// Effective shard×shard conservative lookahead matrix (metric
     /// closure, row-major; `u64::MAX/4` sentinel on impossible pairs).
     pub lookahead: Vec<Dur>,
-    /// Provider records over scenario nodes, counting only live (unexpired)
-    /// records — what a lookup could actually return at campaign end.
+    /// Live provider records at campaign end
+    /// ([`Campaign::provider_record_counts`]).
     pub providers_live: usize,
-    /// Same sum including expired-but-unpruned records; `raw - live` is
-    /// the garbage a naive store-length count would have over-reported.
+    /// Live plus expired-but-unpruned provider records at campaign end.
     pub providers_raw: usize,
 }
 
@@ -72,14 +71,7 @@ pub fn collect(cfg: ScenarioConfig, n_crawls: usize) -> CrawlData {
     } else {
         Vec::new()
     };
-    let now = campaign.now();
-    let (mut providers_live, mut providers_raw) = (0usize, 0usize);
-    for &id in &campaign.node_ids {
-        if let tcsb_core::EcoActor::Node(n) = campaign.sim.actor(id) {
-            providers_live += n.dht().providers().record_count(now);
-            providers_raw += n.dht().providers().raw_record_count();
-        }
-    }
+    let (providers_live, providers_raw) = campaign.provider_record_counts();
     CrawlData {
         snaps,
         dbs,

@@ -17,11 +17,10 @@
 //! count.
 
 use crate::report::{Report, Unit};
+use crate::resilience_exp::whatif_campaign;
 use crate::Scale;
-use ipfs_types::Cid;
 use netgen::{ExitStyle, InterventionKind, InterventionSpec, InterventionTarget, StagedExitSpec};
 use simnet::{Dur, SimTime};
-use tcsb_core::{Campaign, CampaignOptions};
 use whatif::{Timeline, TimelineConfig};
 
 /// When the (final) exit wave fires.
@@ -118,12 +117,6 @@ struct EntryResult {
 /// Run one sweep entry: fresh campaign (identical to the others up to the
 /// plan), timeline sampled across the whole plan.
 fn run_entry(scale: Scale, seed: u64, entry: &SweepEntry, shards: usize) -> EntryResult {
-    let mut cfg = scale.config(seed);
-    cfg.duration = Dur::from_hours(48).min(cfg.duration);
-    cfg.n_requests = 0;
-    cfg.shards = shards;
-    cfg.interventions = entry.plan.clone();
-    let scenario = netgen::build(cfg);
     // Probe CIDs: catalog items published well before the first sample.
     let first_sample = entry
         .plan
@@ -131,23 +124,15 @@ fn run_entry(scale: Scale, seed: u64, entry: &SweepEntry, shards: usize) -> Entr
         .map(|sp| sp.at)
         .min()
         .unwrap_or(SimTime::ZERO + T_EXIT);
-    let probe_deadline = SimTime(first_sample.0.saturating_sub(PRE.0 + Dur::from_hours(6).0));
-    let cids: Vec<Cid> = scenario
-        .content
-        .iter()
-        .filter(|item| item.publish_at < probe_deadline)
-        .take(probe_sample(scale))
-        .map(|item| item.cid)
-        .collect();
-    let mut campaign = Campaign::new(
-        scenario,
-        CampaignOptions {
-            with_workload: true,
-            with_requests: false,
-            ..Default::default()
-        },
+    let deadline = SimTime(first_sample.0.saturating_sub(PRE.0 + Dur::from_hours(6).0));
+    let (mut campaign, compiled, cids) = whatif_campaign(
+        scale,
+        seed,
+        shards,
+        entry.plan.clone(),
+        deadline,
+        probe_sample(scale),
     );
-    let compiled = whatif::apply(&mut campaign);
     let count = |exit: bool| -> usize {
         compiled
             .iter()

@@ -18,7 +18,7 @@ use ipfs_types::Cid;
 use netgen::{ExitStyle, InterventionKind, InterventionSpec, InterventionTarget, PAPER};
 use simnet::{Dur, SimTime};
 use tcsb_core::{Campaign, CampaignOptions};
-use whatif::DhtHealth;
+use whatif::{CompiledIntervention, DhtHealth};
 
 /// When the exit fires (the campaign is warm and well-provided by then).
 const T_EXIT: Dur = Dur(34 * 3_600 * 1_000_000_000);
@@ -104,42 +104,32 @@ fn sweep(seed: u64) -> Vec<(String, Vec<InterventionSpec>)> {
     rows
 }
 
-/// Run one row: a fresh campaign (same scenario seed ⇒ identical until the
-/// intervention), probed before and after.
-fn run_row(
+/// A what-if campaign, the set-up every cloud-exit row and recovery entry
+/// shares: the scale's scenario capped at 48 virtual hours with no request
+/// workload — a counterfactual needs a settled, well-provided network, not
+/// a multi-week campaign, and the publishes that still run create the
+/// provider records the probes resolve — with `plan` compiled and
+/// scheduled. Returns the campaign, the compiled plan and up to `n_probes`
+/// probe CIDs: regular catalog items published before `probe_deadline`, in
+/// catalog order (deterministic).
+pub(crate) fn whatif_campaign(
     scale: Scale,
     seed: u64,
-    label: &str,
-    plan: Vec<InterventionSpec>,
     shards: usize,
-) -> RowResult {
-    // The counterfactual needs a settled, well-provided network — not a
-    // multi-week campaign. Cap the virtual span and drop the request
-    // workload (publishes still run; they create the provider records the
-    // probe resolves).
-    let mut cfg = scale.config(seed);
+    plan: Vec<InterventionSpec>,
+    probe_deadline: SimTime,
+    n_probes: usize,
+) -> (Campaign, Vec<CompiledIntervention>, Vec<Cid>) {
+    let mut cfg = scale.config(seed).with_shards(shards);
     cfg.duration = Dur::from_hours(48).min(cfg.duration);
     cfg.n_requests = 0;
-    cfg.shards = shards;
-    let plan_is_empty = plan.is_empty();
-    let heal_at = plan
-        .iter()
-        .filter_map(|sp| match sp.kind {
-            InterventionKind::Partition { heal_at } => heal_at,
-            _ => None,
-        })
-        .max();
     cfg.interventions = plan;
     let scenario = netgen::build(cfg);
-    let share = cloud_server_share(&scenario);
-    // Probe CIDs: regular catalog items published well before the first
-    // probe, in catalog order (deterministic).
-    let probe_deadline = SimTime(T_EXIT.0.saturating_sub(Dur::from_hours(12).0));
     let cids: Vec<Cid> = scenario
         .content
         .iter()
         .filter(|item| item.publish_at < probe_deadline)
-        .take(probe_sample(scale))
+        .take(n_probes)
         .map(|item| item.cid)
         .collect();
     let mut campaign = Campaign::new(
@@ -151,6 +141,31 @@ fn run_row(
         },
     );
     let compiled = whatif::apply(&mut campaign);
+    (campaign, compiled, cids)
+}
+
+/// Run one row: a fresh campaign (same scenario seed ⇒ identical until the
+/// intervention), probed before and after.
+fn run_row(
+    scale: Scale,
+    seed: u64,
+    label: &str,
+    plan: Vec<InterventionSpec>,
+    shards: usize,
+) -> RowResult {
+    let plan_is_empty = plan.is_empty();
+    let heal_at = plan
+        .iter()
+        .filter_map(|sp| match sp.kind {
+            InterventionKind::Partition { heal_at } => heal_at,
+            _ => None,
+        })
+        .max();
+    // Probes start well after these publishes.
+    let deadline = SimTime(T_EXIT.0.saturating_sub(Dur::from_hours(12).0));
+    let (mut campaign, compiled, cids) =
+        whatif_campaign(scale, seed, shards, plan, deadline, probe_sample(scale));
+    let share = cloud_server_share(&campaign.scenario);
     let removed: usize = compiled.iter().map(|c| c.nodes.len()).sum();
     let population = campaign.scenario.nodes.len();
     debug_assert!(plan_is_empty || removed > 0, "{label}: empty target set");

@@ -7,25 +7,20 @@
 //! committed expectation file. Wall-clock profiler output never appears
 //! here; it ships separately as a Chrome trace (`--profile-out`).
 
-use crate::crawl_exp::{self, CrawlData};
 use crate::report::{Report, Unit};
-use netgen::ScenarioConfig;
 
-/// Run the crawl campaign with the metrics registry live and return both
-/// the dataset and the registry snapshot covering exactly that campaign.
-/// The global telemetry flag is restored afterwards, so the remaining
-/// artefact groups run with whatever the caller selected.
-pub fn collect_instrumented(
-    cfg: ScenarioConfig,
-    n_crawls: usize,
-) -> (CrawlData, telemetry::Snapshot) {
+/// Run `campaign` with the metrics registry reset and live, and return its
+/// result with the registry snapshot covering exactly that run. The global
+/// telemetry flag is restored afterwards, so whatever runs next records
+/// with whatever the caller selected.
+pub fn instrumented<T>(campaign: impl FnOnce() -> T) -> (T, telemetry::Snapshot) {
     let prev = telemetry::enabled();
     telemetry::metrics::reset();
     telemetry::set_enabled(true);
-    let data = crawl_exp::collect(cfg, n_crawls);
+    let out = campaign();
     let snap = telemetry::snapshot();
     telemetry::set_enabled(prev);
-    (data, snap)
+    (out, snap)
 }
 
 /// The EXPERIMENTS.md section for a registry snapshot.

@@ -10,11 +10,12 @@
 //! appear only in the EXPERIMENTS.md notes.
 
 use crate::report::{Report, Unit};
+use crate::telemetry_exp::instrumented;
 use crate::Scale;
 use ipfs_types::Cid;
 use netgen::{FlashCrowdSpec, WorkloadSpec};
 use simnet::{Dur, SimTime};
-use tcsb_core::{Campaign, CampaignOptions, EcoActor};
+use tcsb_core::{Campaign, CampaignOptions};
 
 const HOUR: u64 = 3_600_000_000_000;
 const MIN: u64 = 60_000_000_000;
@@ -124,68 +125,68 @@ pub fn run(scale: Scale, seed: u64, shards: usize) -> ReplayData {
     let spec = replay_spec(scale, seed);
     let scenario = netgen::build(scale.config(seed).with_shards(shards));
     let started = std::time::Instant::now();
-    let prev = telemetry::enabled();
-    telemetry::metrics::reset();
-    telemetry::set_enabled(true);
-    let mut c = Campaign::new(
-        scenario,
-        CampaignOptions {
-            with_workload: true,
-            with_requests: false,
-            live_workload: Some(spec.clone()),
-        },
-    );
-    let flash = spec.flash.expect("replay_spec always configures a flash");
-    let span = spec.window.1 .0 - spec.window.0 .0;
-    // Phase boundaries plus fork-probe sample points, time-ordered. The
-    // series brackets the flash window: two baseline samples, one
-    // mid-crowd, then the decay as the crowd's re-provides expire.
-    let samples = [
-        SimTime(flash.window.0 .0.saturating_sub(span / 10)),
-        SimTime(flash.window.0 .0),
-        SimTime((flash.window.0 .0 + flash.window.1 .0) / 2),
-        SimTime(flash.window.1 .0),
-        SimTime(flash.window.1 .0 + span / 10),
-        SimTime(flash.window.1 .0 + span / 5),
-    ];
-    let phase_ends = [
-        ("bootstrap", spec.window.0),
-        ("pre-flash", flash.window.0),
-        ("flash", flash.window.1),
-        ("cooldown", spec.window.1),
-    ];
-    let mut breakpoints: Vec<(SimTime, Option<&'static str>)> = phase_ends
-        .iter()
-        .map(|&(name, t)| (t, Some(name)))
-        .chain(samples.iter().map(|&t| (t, None)))
-        .collect();
-    breakpoints.sort_by_key(|&(t, label)| (t, label.is_some()));
+    let ((c, phases, series), snap) = instrumented(|| {
+        let mut c = Campaign::new(
+            scenario,
+            CampaignOptions {
+                with_workload: true,
+                with_requests: false,
+                live_workload: Some(spec.clone()),
+            },
+        );
+        let flash = spec.flash.expect("replay_spec always configures a flash");
+        let span = spec.window.1 .0 - spec.window.0 .0;
+        // Phase boundaries plus fork-probe sample points, time-ordered. The
+        // series brackets the flash window: two baseline samples, one
+        // mid-crowd, then the decay as the crowd's re-provides expire.
+        let samples = [
+            SimTime(flash.window.0 .0.saturating_sub(span / 10)),
+            SimTime(flash.window.0 .0),
+            SimTime((flash.window.0 .0 + flash.window.1 .0) / 2),
+            SimTime(flash.window.1 .0),
+            SimTime(flash.window.1 .0 + span / 10),
+            SimTime(flash.window.1 .0 + span / 5),
+        ];
+        let phase_ends = [
+            ("bootstrap", spec.window.0),
+            ("pre-flash", flash.window.0),
+            ("flash", flash.window.1),
+            ("cooldown", spec.window.1),
+        ];
+        let mut breakpoints: Vec<(SimTime, Option<&'static str>)> = phase_ends
+            .iter()
+            .map(|&(name, t)| (t, Some(name)))
+            .chain(samples.iter().map(|&t| (t, None)))
+            .collect();
+        breakpoints.sort_by_key(|&(t, label)| (t, label.is_some()));
 
-    let flash_cid = c
-        .sim
-        .actor(c.webuser)
-        .webuser()
-        .replay
-        .as_ref()
-        .expect("campaign runs in replay mode")
-        .flash_cid()
-        .expect("flash rank within catalog");
+        let flash_cid = c
+            .sim
+            .actor(c.webuser)
+            .webuser()
+            .replay
+            .as_ref()
+            .expect("campaign runs in replay mode")
+            .flash_cid()
+            .expect("flash rank within catalog");
 
-    let mut phases = Vec::new();
-    let mut series = Vec::new();
-    for (t, label) in breakpoints {
-        c.sim.run_until(t.max(c.now()));
-        match label {
-            Some(name) => phases.push(ReplayPhase {
-                name,
-                end: t,
-                digest: c.sim.trace_digest(),
-                events: c.sim.stats().events,
-            }),
-            None => series.push(probe(&mut c, flash_cid, t)),
+        let mut phases = Vec::new();
+        let mut series = Vec::new();
+        for (t, label) in breakpoints {
+            c.sim.run_until(t.max(c.now()));
+            match label {
+                Some(name) => phases.push(ReplayPhase {
+                    name,
+                    end: t,
+                    digest: c.sim.trace_digest(),
+                    events: c.sim.stats().events,
+                }),
+                None => series.push(probe(&mut c, flash_cid, t)),
+            }
         }
-    }
-    series.sort_by_key(|s| s.at);
+        series.sort_by_key(|s| s.at);
+        (c, phases, series)
+    });
 
     let issued = c
         .sim
@@ -195,16 +196,7 @@ pub fn run(scale: Scale, seed: u64, shards: usize) -> ReplayData {
         .as_ref()
         .expect("replay driver survives the run")
         .issued;
-    let now = c.now();
-    let (mut live, mut raw) = (0usize, 0usize);
-    for &id in &c.node_ids {
-        if let EcoActor::Node(n) = c.sim.actor(id) {
-            live += n.dht().providers().record_count(now);
-            raw += n.dht().providers().raw_record_count();
-        }
-    }
-    let snap = telemetry::snapshot();
-    telemetry::set_enabled(prev);
+    let (providers_live, providers_raw) = c.provider_record_counts();
     ReplayData {
         spec,
         phases,
@@ -214,8 +206,8 @@ pub fn run(scale: Scale, seed: u64, shards: usize) -> ReplayData {
         digest: c.sim.trace_digest(),
         engine: c.sim.stats(),
         shards: c.shards(),
-        providers_live: live,
-        providers_raw: raw,
+        providers_live,
+        providers_raw,
         wall_secs: started.elapsed().as_secs_f64(),
     }
 }

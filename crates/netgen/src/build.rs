@@ -25,6 +25,13 @@ const SEED_NODE: u64 = 1 << 40;
 const SEED_EPHEMERAL: u64 = 1 << 41;
 const SEED_CONTENT: u64 = 1 << 42;
 
+/// Share of the static request trace served via HTTP gateways (vs direct
+/// fetch).
+const HTTP_SHARE: f64 = 0.45;
+/// Fraction of publisher nodes announcing a second address of the opposite
+/// cloudness (the hybrid/BOTH populations).
+const HYBRID_FRACTION: f64 = 0.006;
+
 struct Builder {
     cfg: ScenarioConfig,
     rng: StdRng,
@@ -501,7 +508,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     // Hybrid peers: a sliver of publishers announce both a cloud and a
     // non-cloud address (the BOTH label / Fig. 14 hybrid class).
     {
-        let n_hybrid = ((cfg.n_cloud + cfg.n_fringe) as f64 * cfg.hybrid_fraction) as usize;
+        let n_hybrid = ((cfg.n_cloud + cfg.n_fringe) as f64 * HYBRID_FRACTION) as usize;
         for h in 0..n_hybrid {
             let idx = bootstrap_count + h * 7; // spread over cloud nodes
             if idx < cfg.n_cloud {
@@ -660,7 +667,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     let mut requests: Vec<Request> = Vec::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED);
     for _ in 0..cfg.n_requests {
-        if rng.random::<f64>() < cfg.http_share {
+        if rng.random::<f64>() < HTTP_SHARE {
             // HTTP request through a weighted gateway.
             let at = SimTime(rng.random_range(Dur::from_hours(2).0..cfg.duration.0));
             let Some(item) = pick_item(&mut rng, at.day() as usize) else {

@@ -25,7 +25,7 @@ pub use plan::{
 pub use scenario::{
     canonical_plan_order, region_of, ContentItem, ExitStyle, ExitWave, GatewaySpec,
     InterventionKind, InterventionSpec, InterventionTarget, NodeSpec, Platform, Request, Scenario,
-    ScenarioConfig, Segment, Session, StagedExitSpec,
+    ScenarioConfig, Segment, Session, StagedExitSpec, HYDRA_HEADS,
 };
 pub use workload::{
     FlashCrowdSpec, RateCurve, RateStream, TickEmission, WorkloadSpec, ZipfSampler, N_REGIONS,

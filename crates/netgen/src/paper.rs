@@ -22,15 +22,12 @@ impl ScenarioConfig {
             platform_cids: 60,
             platform_nodes: 2,
             hydra_hosts: 1,
-            hydra_heads: 20,
             n_gateways_listed: 14,
             n_gateways_functional: 9,
             n_domains: 3_000,
             n_dnslink: 150,
             n_ens_records: 400,
             conn_floor: 20,
-            http_share: 0.45,
-            hybrid_fraction: 0.006,
             interventions: vec![],
             shards: 0,
         }
@@ -51,15 +48,12 @@ impl ScenarioConfig {
             platform_cids: 260,
             platform_nodes: 3,
             hydra_hosts: 2,
-            hydra_heads: 20,
             n_gateways_listed: 83,
             n_gateways_functional: 22,
             n_domains: 30_000,
             n_dnslink: 900,
             n_ens_records: 4_000,
             conn_floor: 30,
-            http_share: 0.45,
-            hybrid_fraction: 0.006,
             interventions: vec![],
             shards: 0,
         }
@@ -80,15 +74,12 @@ impl ScenarioConfig {
             platform_cids: 1_200,
             platform_nodes: 4,
             hydra_hosts: 2,
-            hydra_heads: 20,
             n_gateways_listed: 83,
             n_gateways_functional: 22,
             n_domains: 120_000,
             n_dnslink: 2_500,
             n_ens_records: 20_600,
             conn_floor: 40,
-            http_share: 0.45,
-            hybrid_fraction: 0.006,
             interventions: vec![],
             shards: 0,
         }
@@ -113,15 +104,12 @@ impl ScenarioConfig {
             platform_cids: 2_400,
             platform_nodes: 5,
             hydra_hosts: 3,
-            hydra_heads: 20,
             n_gateways_listed: 83,
             n_gateways_functional: 22,
             n_domains: 200_000,
             n_dnslink: 5_000,
             n_ens_records: 20_600,
             conn_floor: 60,
-            http_share: 0.45,
-            hybrid_fraction: 0.006,
             interventions: vec![],
             shards: 0,
         }
@@ -141,15 +129,12 @@ impl ScenarioConfig {
             platform_cids: 8_000,
             platform_nodes: 6,
             hydra_hosts: 3,
-            hydra_heads: 20,
             n_gateways_listed: 83,
             n_gateways_functional: 22,
             n_domains: 2_000_000,
             n_dnslink: 30_000,
             n_ens_records: 20_600,
             conn_floor: 60,
-            http_share: 0.45,
-            hybrid_fraction: 0.006,
             interventions: vec![],
             shards: 0,
         }
@@ -176,15 +161,12 @@ impl ScenarioConfig {
             platform_cids: 8_000,
             platform_nodes: 6,
             hydra_hosts: 3,
-            hydra_heads: 20,
             n_gateways_listed: 83,
             n_gateways_functional: 22,
             n_domains: 200_000,
             n_dnslink: 5_000,
             n_ens_records: 20_600,
             conn_floor: 20,
-            http_share: 0.45,
-            hybrid_fraction: 0.006,
             interventions: vec![],
             shards: 0,
         }

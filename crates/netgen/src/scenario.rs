@@ -394,6 +394,9 @@ impl StagedExitSpec {
     }
 }
 
+/// Virtual peer IDs per Hydra host.
+pub const HYDRA_HEADS: usize = 20;
+
 /// Size/shape knobs for scenario generation. See `paper.rs` for presets.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
@@ -417,10 +420,8 @@ pub struct ScenarioConfig {
     pub platform_cids: usize,
     /// Nodes per storage platform cluster.
     pub platform_nodes: usize,
-    /// Hydra booster hosts (each runs 20 virtual heads).
+    /// Hydra booster hosts (each runs [`HYDRA_HEADS`] virtual heads).
     pub hydra_hosts: usize,
-    /// Virtual peer IDs per hydra host.
-    pub hydra_heads: usize,
     /// Listed gateway endpoints (83 in the paper).
     pub n_gateways_listed: usize,
     /// Functional gateways (22 in the paper).
@@ -433,11 +434,6 @@ pub struct ScenarioConfig {
     pub n_ens_records: usize,
     /// Connection floor for regular nodes (Bitswap fan-out driver).
     pub conn_floor: usize,
-    /// Share of requests served via HTTP gateways (vs direct fetch).
-    pub http_share: f64,
-    /// Fraction of publisher nodes announcing a second address of the
-    /// opposite cloudness (the hybrid/BOTH populations).
-    pub hybrid_fraction: f64,
     /// Scripted mid-campaign interventions (empty = none; executed by the
     /// `whatif` engine when the campaign is instantiated through it).
     pub interventions: Vec<InterventionSpec>,

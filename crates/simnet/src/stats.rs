@@ -110,8 +110,9 @@ impl SimStats {
 }
 
 /// Measured engine state split for one shard — the observable form of the
-/// O(nodes) replica claim (surfaced in the `repro engine` budget section
-/// and `tcsb-bench`'s `simnet.engine.*_bytes_per_node` rows).
+/// O(nodes) replica claim (surfaced in the state-bytes notes of the
+/// `engine-crawl` / `engine-workload` sections, in `repro budget`, and in
+/// `tcsb-bench`'s `simnet.engine.*_bytes_per_node` rows).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StateBytes {
     /// Registered nodes (same on every shard).
