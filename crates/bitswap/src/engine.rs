@@ -3,13 +3,17 @@
 //! Sans-io. The owner feeds in messages and pulls out `(peer, message)`
 //! sends. Content retrieval starts with a 1-hop `WantHave` broadcast to all
 //! connected neighbours (§2 "Content Retrieval" step 5); peers answering
-//! `Have` get a `WantBlock`; received blocks cancel outstanding wants.
+//! `Have` get a `WantBlock`; received blocks cancel outstanding wants. The
+//! broadcast does not ask for `DontHave`: a neighbour lacking the block
+//! stays silent, and the owner's phase timer, not a negative answer, moves
+//! the fetch on to the DHT. `DontHave` is answered to targeted `WantBlock`s
+//! only, and nothing here acts on it.
 //!
 //! Other peers' wants for blocks we lack live in exactly one structure,
 //! `Cid → [(peer, want type)]`, and are served from it the moment the block
 //! arrives — the mechanism that lets gateways satisfy most requests without
 //! touching the DHT (§5 "ID centralization"). A fetch's broadcast registers
-//! and, one round trip later, cancels a want at every neighbour, so that
+//! and, when the fetch ends, cancels a want at every neighbour, so that
 //! path is one bucket push and one bucket removal, nothing per peer. A
 //! [`Ledger`] is only the go-bitswap block/byte account and exists only for
 //! peers a block was actually exchanged with.
@@ -44,11 +48,8 @@ pub struct FetchSession {
     /// Peers we sent a want to and owe a `Cancel`: sorted, no duplicates.
     /// Emptied when the fetch completes (the cancels have gone out).
     pub asked: Vec<PeerId>,
-    /// Peers that answered `Have`. Dropped when the fetch completes.
-    pub haves: Vec<PeerId>,
-    /// Peers that answered `DontHave`.
-    pub dont_haves: usize,
-    /// Peer we requested the full block from.
+    /// Peer we requested the full block from: the first to answer `Have`,
+    /// or the provider a DHT walk named.
     pub requested_from: Option<PeerId>,
     /// Fetch finished. The session stays as a tombstone so that a late
     /// [`Bitswap::request_block_from`] does not ask for the block again.
@@ -61,8 +62,6 @@ impl FetchSession {
             cid,
             started,
             asked,
-            haves: Vec::new(),
-            dont_haves: 0,
             requested_from: None,
             done: false,
         }
@@ -253,7 +252,8 @@ impl Bitswap {
                 self.on_wantlist(from, entries, full, store)
             }
             BitswapMessage::Blocks { blocks } => self.on_blocks(now, from, blocks, store),
-            BitswapMessage::Presence { have, dont_have } => self.on_presence(from, have, dont_have),
+            // No fetch decision reads a `DontHave`: the phase timer does.
+            BitswapMessage::Presence { have, .. } => self.on_presence(from, have),
         }
     }
 
@@ -332,7 +332,6 @@ impl Bitswap {
             if let Some(s) = self.sessions.get_mut(&b.cid) {
                 if !s.done {
                     s.done = true;
-                    s.haves = Vec::new();
                     telemetry::count(telemetry::Counter::BitswapFetchesResolved, 1);
                     telemetry::observe(
                         telemetry::Metric::WantResolutionNs,
@@ -380,24 +379,15 @@ impl Bitswap {
         out
     }
 
-    fn on_presence(&mut self, from: PeerId, have: Vec<Cid>, dont_have: Vec<Cid>) -> BsOutput {
+    fn on_presence(&mut self, from: PeerId, have: Vec<Cid>) -> BsOutput {
         let mut out = BsOutput::default();
         for cid in have {
+            // First Have wins: request the block from that peer.
             if let Some(s) = self.sessions.get_mut(&cid) {
-                if s.done {
-                    continue;
-                }
-                s.haves.push(from);
-                // First Have wins: request the block from that peer.
-                if s.requested_from.is_none() {
+                if !s.done && s.requested_from.is_none() {
                     s.requested_from = Some(from);
                     out.push_want(from, WantEntry::block(cid));
                 }
-            }
-        }
-        for cid in dont_have {
-            if let Some(s) = self.sessions.get_mut(&cid) {
-                s.dont_haves += 1;
             }
         }
         out
@@ -451,21 +441,58 @@ mod tests {
     }
 
     #[test]
-    fn dont_have_recorded() {
+    fn broadcast_probe_for_a_missing_block_gets_no_reply() {
+        // The discovery broadcast asks for no `DontHave`: a neighbour that
+        // lacks the block registers the want and says nothing until the
+        // block arrives.
+        let mut a = Bitswap::new();
+        let mut b = Bitswap::new();
+        let mut store_b = MemoryBlockstore::new();
+        let c = cid(1);
+        let out = a.start_fetch(c, &[peer(2)], SimTime::ZERO);
+        let (_, probe) = &out.sends[0];
+        let out_b = b.handle_message(SimTime::ZERO, peer(1), probe.clone(), &mut store_b);
+        assert!(out_b.sends.is_empty(), "no reply: {:?}", out_b.sends);
+        assert_eq!(
+            b.wants_of(&peer(1)).collect::<Vec<_>>(),
+            vec![(c, WantType::Have)]
+        );
+        let blocks = BitswapMessage::Blocks {
+            blocks: vec![Block { cid: c, size: 10 }],
+        };
+        let out_b = b.handle_message(SimTime::ZERO, peer(3), blocks, &mut store_b);
+        let have = BitswapMessage::Presence {
+            have: vec![c],
+            dont_have: vec![],
+        };
+        assert_eq!(out_b.sends, vec![(peer(1), have)]);
+        assert!(a.is_fetching(&c));
+    }
+
+    #[test]
+    fn targeted_want_block_still_gets_dont_have() {
         let mut a = Bitswap::new();
         let mut b = Bitswap::new();
         let mut store_a = MemoryBlockstore::new();
         let mut store_b = MemoryBlockstore::new();
         let c = cid(1);
-        let out = a.start_fetch(c, &[peer(2)], SimTime::ZERO);
-        let out_b = b.handle_message(SimTime::ZERO, peer(1), out.sends[0].1.clone(), &mut store_b);
-        let (_, presence) = &out_b.sends[0];
-        assert!(
-            matches!(presence, BitswapMessage::Presence { dont_have, .. } if dont_have == &vec![c])
+        let out = a.request_block_from(c, peer(2), SimTime::ZERO);
+        let (_, want_block) = &out.sends[0];
+        let out_b = b.handle_message(SimTime::ZERO, peer(1), want_block.clone(), &mut store_b);
+        let dont_have = BitswapMessage::Presence {
+            have: vec![],
+            dont_have: vec![c],
+        };
+        assert_eq!(out_b.sends, vec![(peer(1), dont_have.clone())]);
+        assert_eq!(
+            b.wants_of(&peer(1)).collect::<Vec<_>>(),
+            vec![(c, WantType::Block)]
         );
-        a.handle_message(SimTime::ZERO, peer(2), presence.clone(), &mut store_a);
-        assert_eq!(a.session(&c).unwrap().dont_haves, 1);
+        // The answer changes nothing at the fetcher: it waits on.
+        let out_a = a.handle_message(SimTime::ZERO, peer(2), dont_have, &mut store_a);
+        assert!(out_a.sends.is_empty());
         assert!(a.is_fetching(&c));
+        assert_eq!(a.session(&c).unwrap().requested_from, Some(peer(2)));
     }
 
     #[test]
@@ -552,12 +579,17 @@ mod tests {
             have: vec![c],
             dont_have: vec![],
         };
-        a.handle_message(SimTime::ZERO, peer(3), have, &mut store_a);
+        let out = a.handle_message(SimTime::ZERO, peer(3), have, &mut store_a);
+        let want_block = BitswapMessage::Wantlist {
+            entries: vec![WantEntry::block(c)],
+            full: false,
+        };
+        assert_eq!(out.sends, vec![(peer(3), want_block)]);
         let s = a.session(&c).unwrap();
         let mut sorted = vec![peer(2), peer(3), peer(4)];
         sorted.sort();
         assert_eq!(s.asked.len(), 3, "the duplicate neighbour is asked once");
-        assert_eq!(s.haves, vec![peer(3)]);
+        assert_eq!(s.requested_from, Some(peer(3)));
         let blocks = BitswapMessage::Blocks {
             blocks: vec![Block { cid: c, size: 10 }],
         };
@@ -567,8 +599,8 @@ mod tests {
         sorted.retain(|p| *p != peer(3));
         assert_eq!(cancelled, sorted, "one cancel per other asked peer");
         let s = a.session(&c).unwrap();
-        assert!(s.done && s.asked.is_empty() && s.haves.is_empty());
-        assert_eq!(s.asked.capacity() + s.haves.capacity(), 0);
+        assert!(s.done && s.asked.is_empty());
+        assert_eq!(s.asked.capacity(), 0);
         let again = a.handle_message(SimTime::ZERO, peer(2), blocks, &mut store_a);
         assert!(again.received.is_empty() && again.sends.is_empty());
         assert!(a
@@ -599,13 +631,21 @@ mod tests {
             dont_have: vec![],
         };
         let out1 = a.handle_message(SimTime::ZERO, peer(3), have.clone(), &mut store_a);
-        assert_eq!(out1.sends.len(), 1, "WantBlock to first responder");
+        let want_block = BitswapMessage::Wantlist {
+            entries: vec![WantEntry::block(c)],
+            full: false,
+        };
+        assert_eq!(
+            out1.sends,
+            vec![(peer(3), want_block)],
+            "WantBlock to first responder"
+        );
         let out2 = a.handle_message(SimTime::ZERO, peer(2), have, &mut store_a);
         assert!(
             out2.sends.is_empty(),
             "second Have does not trigger another request"
         );
-        assert_eq!(a.session(&c).unwrap().haves.len(), 2);
+        assert_eq!(a.session(&c).unwrap().requested_from, Some(peer(3)));
     }
 
     #[test]

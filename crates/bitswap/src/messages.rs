@@ -4,7 +4,11 @@
 //! wantlists (`WantHave` / `WantBlock`, with cancel and `send_dont_have`
 //! flags), block transfers, and block-presence responses. The local 1-hop
 //! broadcast of `WantHave` entries to all connected neighbours is the
-//! traffic the monitoring nodes log (§3 "Bitswap logs").
+//! traffic the monitoring nodes log (§3 "Bitswap logs"). That broadcast is
+//! opportunistic: it does not ask for `DontHave`, so a neighbour lacking
+//! the block stays silent and the fetcher falls through to the DHT on a
+//! timer (Trautwein et al., "Design and Evaluation of IPFS"). Only a
+//! targeted `WantBlock` asks for a negative answer.
 
 use ipfs_types::Cid;
 
@@ -42,17 +46,19 @@ pub struct WantEntry {
 }
 
 impl WantEntry {
-    /// A discovery probe (`WantHave` + `send_dont_have`).
+    /// A discovery probe: `WantHave` without `send_dont_have`. A peer that
+    /// lacks the block registers the want and answers only once the block
+    /// arrives (or never, if a `Cancel` comes first).
     pub fn have(cid: Cid) -> WantEntry {
         WantEntry {
             cid,
             ty: WantType::Have,
             cancel: false,
-            send_dont_have: true,
+            send_dont_have: false,
         }
     }
 
-    /// A block request.
+    /// A block request (`WantBlock` + `send_dont_have`).
     pub fn block(cid: Cid) -> WantEntry {
         WantEntry {
             cid,
@@ -123,7 +129,9 @@ mod tests {
         let cid = Cid::from_seed(1);
         assert_eq!(WantEntry::have(cid).ty, WantType::Have);
         assert!(!WantEntry::have(cid).cancel);
+        assert!(!WantEntry::have(cid).send_dont_have);
         assert_eq!(WantEntry::block(cid).ty, WantType::Block);
+        assert!(WantEntry::block(cid).send_dont_have);
         assert!(WantEntry::cancel(cid).cancel);
     }
 

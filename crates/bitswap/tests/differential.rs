@@ -23,7 +23,6 @@ mod reference {
 
     pub struct RefSession {
         pub asked: HashSet<PeerId>,
-        pub dont_haves: usize,
         pub requested_from: Option<PeerId>,
         pub done: bool,
     }
@@ -63,7 +62,6 @@ mod reference {
             }
             let session = RefSession {
                 asked,
-                dont_haves: 0,
                 requested_from: None,
                 done: false,
             };
@@ -75,7 +73,6 @@ mod reference {
             let mut out = BsOutput::default();
             let session = self.sessions.entry(cid).or_insert_with(|| RefSession {
                 asked: HashSet::new(),
-                dont_haves: 0,
                 requested_from: None,
                 done: false,
             });
@@ -136,9 +133,7 @@ mod reference {
                     self.on_wantlist(from, entries, full, store)
                 }
                 BitswapMessage::Blocks { blocks } => self.on_blocks(from, blocks, store),
-                BitswapMessage::Presence { have, dont_have } => {
-                    self.on_presence(from, have, dont_have)
-                }
+                BitswapMessage::Presence { have, .. } => self.on_presence(from, have),
             }
         }
 
@@ -242,7 +237,7 @@ mod reference {
             out
         }
 
-        fn on_presence(&mut self, from: PeerId, have: Vec<Cid>, dont_have: Vec<Cid>) -> BsOutput {
+        fn on_presence(&mut self, from: PeerId, have: Vec<Cid>) -> BsOutput {
             let mut out = BsOutput::default();
             for cid in have {
                 let Some(s) = self.sessions.get_mut(&cid).filter(|s| !s.done) else {
@@ -251,11 +246,6 @@ mod reference {
                 if s.requested_from.is_none() {
                     s.requested_from = Some(from);
                     want(&mut out, from, WantEntry::block(cid));
-                }
-            }
-            for cid in dont_have {
-                if let Some(s) = self.sessions.get_mut(&cid) {
-                    s.dont_haves += 1;
                 }
             }
             out
@@ -385,7 +375,7 @@ proptest! {
                 let (s, r) = (engine.session(c), reference.sessions.get(c));
                 prop_assert_eq!(s.is_some(), r.is_some(), "step {}: session", step);
                 let (Some(s), Some(r)) = (s, r) else { continue };
-                prop_assert_eq!((s.done, s.dont_haves, s.requested_from), (r.done, r.dont_haves, r.requested_from));
+                prop_assert_eq!((s.done, s.requested_from), (r.done, r.requested_from));
                 let mut asked: Vec<PeerId> = r.asked.iter().copied().collect();
                 asked.sort();
                 prop_assert_eq!(&s.asked, &asked, "step {}: asked", step);

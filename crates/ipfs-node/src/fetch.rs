@@ -17,7 +17,15 @@ use std::fmt::Debug;
 use std::net::SocketAddrV4;
 
 /// How long to wait on the Bitswap 1-hop broadcast before falling back to
-/// the DHT.
+/// the DHT. No negative answer ends the phase early: the broadcast asks
+/// for none. Trautwein et al. report go-bitswap's provider-search delay as
+/// 1 s, and the extra second here buys nothing for the fetches the
+/// broadcast resolves. In the tiny replay (seed 42) the
+/// `want_resolution_ns` histogram holds 7 904 sessions resolved inside
+/// this phase: 7 170 within one round trip (< 67 ms), 733 more below
+/// 0.54 s, the slowest below 1 s. None of them (0 %) took longer than 1 s,
+/// so a 1 s timeout would send no Bitswap-resolved fetch to the DHT; it
+/// would start the walk of the 375 other fetches one second sooner.
 const BITSWAP_PHASE_TIMEOUT: Dur = Dur::from_secs(2);
 /// Overall fetch deadline.
 const FETCH_TIMEOUT: Dur = Dur::from_mins(2);

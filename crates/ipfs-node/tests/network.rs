@@ -1,5 +1,6 @@
 //! End-to-end protocol tests on small simulated networks.
 
+use bitswap::{Bitswap, BitswapMessage, MemoryBlockstore, WantEntry, WantType};
 use ipfs_node::{IpfsNode, NodeActor, NodeCmd, NodeConfig, NodeEvent, WireMsg};
 use ipfs_types::{Cid, PeerId};
 use simnet::{Dur, LatencyModel, NodeId, NodeSetup, Sim, SimConfig};
@@ -592,6 +593,36 @@ fn connected_flags_follow_identity_adoption_of_a_live_neighbour() {
 enum Scripted {
     Node(Box<IpfsNode>),
     Puppet,
+    /// A puppet that also answers Bitswap, as a peer holding no blocks.
+    Lacking(Box<Lacking>),
+}
+
+/// A Bitswap engine over an empty store, speaking as `id`, with a record
+/// of every wantlist entry it was sent and every message it answered.
+struct Lacking {
+    id: PeerId,
+    engine: Bitswap,
+    store: MemoryBlockstore,
+    got: Vec<WantEntry>,
+    answered: Vec<BitswapMessage>,
+}
+
+impl Lacking {
+    fn on_bitswap(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, from: NodeId, m: WireMsg) {
+        let WireMsg::Bitswap { from: peer, msg } = m else {
+            return;
+        };
+        if let BitswapMessage::Wantlist { entries, .. } = &msg {
+            self.got.extend(entries);
+        }
+        let out = self
+            .engine
+            .handle_message(ctx.now(), peer, msg, &mut self.store);
+        for (_, msg) in out.sends {
+            self.answered.push(msg.clone());
+            ctx.send(from, WireMsg::Bitswap { from: self.id, msg });
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -612,19 +643,21 @@ impl simnet::Actor for Scripted {
         }
     }
     fn on_message(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, from: NodeId, m: WireMsg) {
-        if let Scripted::Node(n) = self {
-            n.handle_message(ctx, from, m);
+        match self {
+            Scripted::Node(n) => n.handle_message(ctx, from, m),
+            Scripted::Puppet => {}
+            Scripted::Lacking(l) => l.on_bitswap(ctx, from, m),
         }
     }
     fn on_command(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, cmd: Script) {
         match (self, cmd) {
             (Scripted::Node(n), Script::Node(cmd)) => n.handle_command(ctx, cmd),
-            (Scripted::Puppet, Script::Dial(to)) => ctx.dial(to),
-            (Scripted::Puppet, Script::Say(to, msg)) => {
+            (Scripted::Node(_), cmd) | (_, cmd @ Script::Node(_)) => panic!("misaddressed {cmd:?}"),
+            (_, Script::Dial(to)) => ctx.dial(to),
+            (_, Script::Say(to, msg)) => {
                 assert!(ctx.send(to, msg), "puppet not connected to {to:?}");
             }
-            (Scripted::Puppet, Script::HangUp(peer)) => ctx.disconnect(peer),
-            (_, cmd) => panic!("misaddressed {cmd:?}"),
+            (_, Script::HangUp(peer)) => ctx.disconnect(peer),
         }
     }
     fn on_timer(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, token: u64) {
@@ -704,7 +737,7 @@ impl Stage {
     fn node(&self) -> &IpfsNode {
         match self.sim.actor(NODE) {
             Scripted::Node(n) => n,
-            Scripted::Puppet => unreachable!("endpoint 0 is the node"),
+            _ => unreachable!("endpoint 0 is the node"),
         }
     }
 
@@ -968,4 +1001,82 @@ fn previous_identity_at_the_own_endpoint_does_not_stall_bootstrap() {
         "self-lookup still waiting on the node's own endpoint: {:?}",
         st.node().events
     );
+}
+
+// ----------------------------------------------------------------------
+// The discovery broadcast asks for no `DontHave`: a neighbour lacking the
+// block registers the want and stays silent until the `Cancel`.
+// ----------------------------------------------------------------------
+
+impl Stage {
+    /// Add a Bitswap-answering puppet speaking as `id`, connected to and
+    /// identified at the node.
+    fn add_lacking(&mut self, id: PeerId) -> NodeId {
+        let lacking = Lacking {
+            id,
+            engine: Bitswap::new(),
+            store: MemoryBlockstore::new(),
+            got: Vec::new(),
+            answered: Vec::new(),
+        };
+        let ip = ip(self.sim.core().node_count() as u32);
+        let ep = self
+            .sim
+            .add_node(Scripted::Lacking(Box::new(lacking)), NodeSetup::public(ip));
+        self.tell(ep, Script::Dial(NODE));
+        self.identify(ep, id);
+        ep
+    }
+
+    fn lacking(&self, ep: NodeId) -> &Lacking {
+        match self.sim.actor(ep) {
+            Scripted::Lacking(l) => l,
+            _ => unreachable!("{ep:?} is not a Bitswap puppet"),
+        }
+    }
+
+    /// Over all Bitswap puppets: (`WantHave`s received, `Cancel`s
+    /// received, messages answered). Holding no blocks, a puppet can only
+    /// answer `Presence`.
+    fn bitswap_tally(&self, eps: &[NodeId]) -> (usize, usize, usize) {
+        let mut tally = (0, 0, 0);
+        for &ep in eps {
+            let l = self.lacking(ep);
+            tally.0 += l
+                .got
+                .iter()
+                .filter(|e| !e.cancel && e.ty == WantType::Have)
+                .count();
+            tally.1 += l.got.iter().filter(|e| e.cancel).count();
+            tally.2 += l.answered.len();
+        }
+        tally
+    }
+}
+
+#[test]
+fn broadcast_to_neighbours_lacking_the_block_draws_no_reply() {
+    const N: usize = 5;
+    let mut st = Stage::new(0, |nc| nc.record_events = true);
+    let eps: Vec<NodeId> = (0..N as u64)
+        .map(|i| st.add_lacking(PeerId::from_seed(100 + i)))
+        .collect();
+    let me = st.node().peer_id();
+    let cid = Cid::from_seed(1);
+    // One second into the two-second Bitswap phase.
+    st.tell(NODE, Script::Node(NodeCmd::Fetch { cid }));
+    assert_eq!(st.bitswap_tally(&eps), (N, 0, 0));
+    for &ep in &eps {
+        let wants: Vec<_> = st.lacking(ep).engine.wants_of(&me).collect();
+        assert_eq!(wants, vec![(cid, WantType::Have)], "want registered");
+    }
+    // No neighbour answers, no provider is found: the fetch gives up and
+    // retracts the want everywhere.
+    st.sim.run_for(Dur::from_mins(3));
+    let failed = |e: &NodeEvent| matches!(e, NodeEvent::FetchFailed { cid: c } if *c == cid);
+    assert_eq!(st.count_events(failed), 1);
+    assert_eq!(st.bitswap_tally(&eps), (N, N, 0));
+    for &ep in &eps {
+        assert!(st.lacking(ep).engine.wants_of(&me).next().is_none());
+    }
 }
