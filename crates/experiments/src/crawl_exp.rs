@@ -425,13 +425,13 @@ pub fn fig07(data: &CrawlData) -> Report {
     }
     r.cmp(
         "top-10 in-degree: filebase-agent nodes",
-        2.0,
+        PAPER.top10_in_degree_filebase,
         filebase as f64,
         Unit::Count,
     );
     r.cmp(
         "top-10 in-degree: cloud-hosted nodes",
-        10.0,
+        PAPER.top10_in_degree_cloud,
         cloud as f64,
         Unit::Count,
     );

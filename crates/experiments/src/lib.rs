@@ -205,8 +205,6 @@ impl Group {
             Group::Workload => {
                 eprintln!("[repro] running workload campaign ({scale:?}) …");
                 let mut wl = traffic_exp::run_workload(scale.config(seed).with_shards(shards));
-                // Figs. 9–13 read the monitor log before the provider
-                // resolutions below extend it.
                 let mut out = vec![
                     traffic_exp::fig09(&wl),
                     traffic_exp::fig10(&wl),

@@ -157,10 +157,10 @@ pub(crate) struct Session {
     pub(crate) relay_clients: HashSet<NodeId>,
     pub(crate) bootstrapped: bool,
     /// Cached advertised-address list; every outgoing DHT message embeds
-    /// it, so it is built once per session (invalidated on relay changes
-    /// and whenever dialability flips — the cached flag) and shared from
-    /// then on.
-    pub(crate) adv_cache: Option<(bool, AddrList)>,
+    /// it, so it is built once per session (invalidated on relay changes;
+    /// dialability is fixed when the node is added) and shared from then
+    /// on.
+    pub(crate) adv_cache: Option<AddrList>,
     pub(crate) bitswap: Bitswap,
 }
 
@@ -274,18 +274,13 @@ impl IpfsNode {
         out
     }
 
-    /// Shared advertised-address list (built once per session; rebuilt if
-    /// the engine-side dialability flag changed since, e.g. via
-    /// `Sim::set_dialable`).
+    /// Shared advertised-address list (built once per session).
     pub(crate) fn adv_addrs<C: Debug>(&mut self, ctx: &Ctx<'_, WireMsg, C>) -> AddrList {
-        let dialable = ctx.i_am_dialable();
-        if let Some((cached_dialable, a)) = &self.session.adv_cache {
-            if *cached_dialable == dialable {
-                return a.clone();
-            }
+        if let Some(a) = &self.session.adv_cache {
+            return a.clone();
         }
         let a: AddrList = self.advertised_addrs(ctx).into();
-        self.session.adv_cache = Some((dialable, a.clone()));
+        self.session.adv_cache = Some(a.clone());
         a
     }
 

@@ -217,6 +217,10 @@ pub struct PaperTargets {
     // Fig. 7
     /// 90th-percentile in-degree bound.
     pub in_degree_p90_max: f64,
+    /// Filebase-agent nodes among the top-10 in-degree nodes (Fig. 7).
+    pub top10_in_degree_filebase: f64,
+    /// Cloud-hosted nodes among the top-10 in-degree nodes (Fig. 7).
+    pub top10_in_degree_cloud: f64,
     // Fig. 8
     /// Largest-component share after removing 90% of nodes randomly.
     pub random_removal_90_lcc: f64,
@@ -236,6 +240,8 @@ pub struct PaperTargets {
     // Fig. 10/11
     /// Traffic share of the top-5% peer IDs.
     pub top5pct_peer_traffic: f64,
+    /// Traffic share of the top-5% IPs (Fig. 11).
+    pub top5pct_ip_traffic: f64,
     /// Cloud share of DHT traffic (messages).
     pub dht_cloud_traffic: f64,
     /// Cloud share of Bitswap traffic.
@@ -245,6 +251,14 @@ pub struct PaperTargets {
     pub traffic_cloud_ip_share: f64,
     /// Cloud share of messages, traffic-weighted.
     pub traffic_cloud_msg_share: f64,
+    /// Cloud share of IPs sending download requests (Fig. 12).
+    pub download_ip_cloud_share: f64,
+    /// Cloud share of IPs sending advertisements (Fig. 12).
+    pub advertise_ip_cloud_share: f64,
+    /// Cloud share of download messages (Fig. 12).
+    pub download_msg_cloud_share: f64,
+    /// AWS share of DHT messages (Fig. 12).
+    pub aws_msg_share: f64,
     // Fig. 13
     /// Hydra share of all DHT traffic.
     pub hydra_dht_share: f64,
@@ -264,6 +278,10 @@ pub struct PaperTargets {
     // Fig. 15
     /// Record share covered by the top-1% providers.
     pub top1pct_provider_record_share: f64,
+    /// Record share of NAT-ed providers (Fig. 15).
+    pub providers_nat_record_share: f64,
+    /// Record share of non-cloud providers (Fig. 15).
+    pub providers_noncloud_record_share: f64,
     // Fig. 16
     /// CIDs with ≥1 cloud provider.
     pub cids_any_cloud: f64,
@@ -271,6 +289,8 @@ pub struct PaperTargets {
     pub cids_majority_cloud: f64,
     /// CIDs with only cloud providers.
     pub cids_all_cloud: f64,
+    /// CIDs with ≥1 non-cloud provider, the alternate reading (Fig. 16).
+    pub cids_any_noncloud: f64,
     // Fig. 17
     /// Cloudflare share of DNSLink gateway IPs.
     pub dnslink_cloudflare_share: f64,
@@ -314,6 +334,8 @@ pub const PAPER: PaperTargets = PaperTargets {
     us_share_gip: 0.330,
     cn_share_gip: 0.111,
     in_degree_p90_max: 500.0,
+    top10_in_degree_filebase: 2.0,
+    top10_in_degree_cloud: 10.0,
     random_removal_90_lcc: 0.96,
     targeted_partition_fraction: 0.60,
     traffic_download_share: 0.57,
@@ -322,10 +344,15 @@ pub const PAPER: PaperTargets = PaperTargets {
     hydra_capture_rate: 0.04,
     nodes_per_query: 50.0,
     top5pct_peer_traffic: 0.97,
+    top5pct_ip_traffic: 0.94,
     dht_cloud_traffic: 0.85,
     bitswap_cloud_traffic: 0.42,
     traffic_cloud_ip_share: 0.35,
     traffic_cloud_msg_share: 0.93,
+    download_ip_cloud_share: 0.45,
+    advertise_ip_cloud_share: 0.34,
+    download_msg_cloud_share: 0.98,
+    aws_msg_share: 0.68,
     hydra_dht_share: 0.35,
     hydra_download_share: 0.50,
     providers_nat_share: 0.3557,
@@ -334,9 +361,12 @@ pub const PAPER: PaperTargets = PaperTargets {
     providers_hybrid_share: 0.0058,
     nat_cloud_relay_share: 0.80,
     top1pct_provider_record_share: 0.90,
+    providers_nat_record_share: 0.08,
+    providers_noncloud_record_share: 0.22,
     cids_any_cloud: 0.95,
     cids_majority_cloud: 0.91,
     cids_all_cloud: 0.23,
+    cids_any_noncloud: 0.77,
     dnslink_cloudflare_share: 0.50,
     dnslink_noncloud_share: 0.20,
     dnslink_public_gateway_share: 0.21,

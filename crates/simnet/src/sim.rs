@@ -335,17 +335,6 @@ impl<A: Actor> Sim<A> {
         &mut sh.actors[sh.core.local(node)]
     }
 
-    /// Change a node's dialability (e.g. it acquired a public IP).
-    pub fn set_dialable(&mut self, node: NodeId, dialable: bool) {
-        let core = &mut self.owner_mut(node).core;
-        let l = core.local(node);
-        if dialable {
-            core.owned.hot[l].flags |= F_DIALABLE;
-        } else {
-            core.owned.hot[l].flags &= !F_DIALABLE;
-        }
-    }
-
     /// Open a connection between `a` and `b` directly (both halves, with
     /// captured addresses) — harness/test fabric bootstrap that skips the
     /// dial handshake.

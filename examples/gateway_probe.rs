@@ -6,75 +6,31 @@
 //! cargo run --release --example gateway_probe
 //! ```
 
-use ipfs_types::Cid;
+use experiments::traffic_exp::probe_gateways;
 use netgen::ScenarioConfig;
 use simnet::Dur;
-use tcsb_core::{Campaign, CampaignOptions, EcoCmd};
+use tcsb_core::{Campaign, CampaignOptions};
 
 fn main() {
     let scenario = netgen::build(ScenarioConfig::tiny(55));
     let mut campaign = Campaign::new(scenario, CampaignOptions::default());
     campaign.run_for(Dur::from_hours(10));
 
-    let functional: Vec<(usize, String)> = campaign
-        .scenario
-        .gateways
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| g.functional)
-        .map(|(i, g)| (i, g.host.clone()))
-        .collect();
-    println!("probing {} functional gateway endpoints…", functional.len());
-
-    // Publish one unique item per gateway on the monitor (sole provider).
-    let mut probes = Vec::new();
-    for (n, (g, _)) in functional.iter().enumerate() {
-        let cid = Cid::from_seed(0x9A7E_0000 + n as u64);
-        probes.push((*g, cid));
-        campaign.sim.schedule_command(
-            campaign.now(),
-            campaign.monitor,
-            EcoCmd::Node(ipfs_node::NodeCmd::Publish { cid, size: 256 }),
+    let functional = campaign.scenario.gateways.iter().filter(|g| g.functional);
+    println!(
+        "probing {} functional gateway endpoints…",
+        functional.count()
+    );
+    let overlays = probe_gateways(&mut campaign, 1);
+    for (g, peer, ip) in &overlays {
+        let host = &campaign.scenario.gateways[*g].host;
+        println!(
+            "{host:<24} overlay peer {}…  at {ip}",
+            &peer.to_base58()[..12]
         );
-    }
-    campaign.run_for(Dur::from_mins(8));
-    let mark = campaign.monitor_log().len();
-
-    // HTTP GET each probe item through its gateway's frontend.
-    let t = campaign.now();
-    for (n, (g, cid)) in probes.iter().enumerate() {
-        campaign.sim.schedule_command(
-            t + Dur::from_secs(4 * n as u64),
-            campaign.webuser,
-            EcoCmd::WebGet {
-                frontend: campaign.frontends[*g],
-                cid: *cid,
-            },
-        );
-    }
-    campaign.run_for(Dur::from_mins(10));
-
-    // Whoever asked the monitor for a probe CID is a gateway overlay node.
-    let monitor_peer = campaign.sim.actor(campaign.monitor).node().peer_id();
-    let mut found = 0;
-    for e in &campaign.monitor_log()[mark..] {
-        for cid in &e.cids {
-            if let Some((g, _)) = probes.iter().find(|(_, c)| c == cid) {
-                if e.peer != monitor_peer {
-                    let host = &campaign.scenario.gateways[*g].host;
-                    println!(
-                        "{:<24} overlay peer {}…  at {}",
-                        host,
-                        &e.peer.to_base58()[..12],
-                        e.addr.ip()
-                    );
-                    found += 1;
-                }
-            }
-        }
     }
     println!();
-    println!("overlay identifications: {found}");
+    println!("overlay identifications: {}", overlays.len());
     println!("(repeating the probe over time reveals multiple overlay IDs per");
     println!(" endpoint — the paper found 119 overlay IDs behind 22 gateways)");
 }
