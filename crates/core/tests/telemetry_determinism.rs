@@ -3,10 +3,12 @@
 //! and every engine counter byte-identical to a telemetry-off run, at
 //! every shard count — and the registry snapshot itself must be invariant
 //! across shard counts, because it only folds commutative virtual-time
-//! observations.
+//! observations — and, since each thread records into its own sink, two
+//! campaigns running at once must not see each other's recordings.
 
 use netgen::ScenarioConfig;
 use simnet::Dur;
+use std::sync::Barrier;
 use tcsb_core::{Campaign, CampaignOptions};
 
 fn fingerprint(cfg: ScenarioConfig, hours: u64) -> (u64, u64, u64, u64, usize) {
@@ -52,7 +54,6 @@ fn instrumented(
 
 #[test]
 fn telemetry_on_off_and_shard_counts_agree_on_tiny_campaign() {
-    let _guard = telemetry::metrics::test_lock();
     telemetry::set_enabled(false);
     telemetry::reset();
     let baseline = fingerprint(ScenarioConfig::tiny(42).with_shards(1), 8);
@@ -88,7 +89,6 @@ fn telemetry_on_off_and_shard_counts_agree_on_tiny_campaign() {
 
 #[test]
 fn telemetry_on_off_agree_on_quick_campaign_slice() {
-    let _guard = telemetry::metrics::test_lock();
     telemetry::set_enabled(false);
     telemetry::reset();
     let baseline = fingerprint(ScenarioConfig::quick(7).with_shards(4), 2);
@@ -100,4 +100,38 @@ fn telemetry_on_off_agree_on_quick_campaign_slice() {
     let (fp1, snap1) = instrumented(ScenarioConfig::quick(7).with_shards(1), 2);
     assert_eq!(fp1, baseline, "1-shard quick slice diverged");
     assert_eq!(snap, snap1, "quick-slice snapshot varies with shard count");
+}
+
+#[test]
+fn concurrent_campaigns_keep_their_own_registries() {
+    let a = || instrumented(ScenarioConfig::tiny(42).with_shards(1), 4);
+    let b = || instrumented(ScenarioConfig::tiny(7).with_shards(2), 4);
+    let alone = (a(), b());
+    assert_ne!(
+        alone.0 .1, alone.1 .1,
+        "the two campaigns record differently"
+    );
+    let start = Barrier::new(2);
+    let together = std::thread::scope(|s| {
+        let ta = s.spawn(|| {
+            start.wait();
+            a()
+        });
+        let tb = s.spawn(|| {
+            start.wait();
+            b()
+        });
+        (
+            ta.join().expect("campaign a"),
+            tb.join().expect("campaign b"),
+        )
+    });
+    assert_eq!(
+        together.0, alone.0,
+        "seed-42 campaign saw the other's recordings"
+    );
+    assert_eq!(
+        together.1, alone.1,
+        "seed-7 campaign saw the other's recordings"
+    );
 }

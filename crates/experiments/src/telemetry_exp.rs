@@ -9,10 +9,10 @@
 
 use crate::report::{Report, Unit};
 
-/// Run `campaign` with the metrics registry reset and live, and return its
-/// result with the registry snapshot covering exactly that run. The global
-/// telemetry flag is restored afterwards, so whatever runs next records
-/// with whatever the caller selected.
+/// Run `campaign` with this thread's metrics registry reset and live, and
+/// return its result with the registry snapshot covering exactly that run.
+/// This thread's telemetry flag is restored afterwards, so whatever runs
+/// next records with whatever the caller selected.
 pub fn instrumented<T>(campaign: impl FnOnce() -> T) -> (T, telemetry::Snapshot) {
     let prev = telemetry::enabled();
     telemetry::metrics::reset();
@@ -46,8 +46,7 @@ reruns and shard counts; the trace digest is byte-identical with telemetry on or
         snap.digest()
     ));
     r.note(
-        "tiny-scale pin (CI-diffed via ci/expected-telemetry-tiny.txt): trace digest \
-0x0cf5aa2e25cac8d1, registry digest 0xdeb4313488b366fd",
+        "tiny-scale pin: trace and registry digests in ci/expected-telemetry-tiny.txt (CI-diffed)",
     );
     r
 }

@@ -57,13 +57,6 @@ pub struct ProviderRecord {
     pub stored_at: SimTime,
 }
 
-impl ProviderRecord {
-    /// Whether the provider can only be reached through a relay.
-    pub fn is_relayed(&self) -> bool {
-        self.relay_endpoint.is_some() || self.addrs.iter().any(|a| a.is_circuit())
-    }
-}
-
 /// DHT request bodies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DhtRequest {

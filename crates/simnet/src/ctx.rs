@@ -106,15 +106,6 @@ impl<'a, M: Clone + std::fmt::Debug, C: std::fmt::Debug> Ctx<'a, M, C> {
         self.core.connected(self.me, peer)
     }
 
-    /// Whether the connection to `peer` was established through a relay.
-    pub fn is_relayed(&self, peer: NodeId) -> bool {
-        self.core
-            .owned
-            .conns
-            .get_relayed(self.core.local(self.me), peer)
-            .unwrap_or(false)
-    }
-
     /// Connected peers in ascending id order (deterministic), without
     /// allocating. Collect into a `Vec` first if you need to mutate
     /// connections while walking them.

@@ -87,8 +87,11 @@ pub(crate) fn run_epochs<A: Actor>(
     let ev_count: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let done = AtomicBool::new(false);
     let overflow = AtomicBool::new(false);
+    // Telemetry records per thread: each worker hands its sink back.
+    let recording = telemetry::enabled();
 
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(n);
         for (i, shard) in shards.iter_mut().enumerate() {
             let mailboxes = &mailboxes;
             let barrier = &barrier;
@@ -96,15 +99,15 @@ pub(crate) fn run_epochs<A: Actor>(
             let ev_count = &ev_count;
             let done = &done;
             let overflow = &overflow;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 shard.core.lookahead_to = (0..n).map(|dst| direct[i * n + dst]).collect();
                 shard.core.closure_from = (0..n).map(|src| closure[src * n + i]).collect();
                 // Wall-clock epoch profiling is opt-in; the deterministic
                 // sync counters below are always maintained (plain u64
                 // increments, surfaced by `repro budget`).
-                let profiling = telemetry::enabled();
+                telemetry::set_enabled(recording);
                 loop {
-                    let epoch_t0 = if profiling {
+                    let epoch_t0 = if recording {
                         telemetry::profile::now_us()
                     } else {
                         0
@@ -141,7 +144,7 @@ pub(crate) fn run_epochs<A: Actor>(
                         shard.core.closure_from.clear();
                         shard.core.epoch_horizon = u64::MAX;
                         shard.core.now = shard.core.now.max(t);
-                        return;
+                        break;
                     }
                     shard.core.sync.epochs += 1;
                     // Per-channel horizon: the earliest instant any *awake*
@@ -169,7 +172,7 @@ pub(crate) fn run_epochs<A: Actor>(
                     // dynamic horizon every step), then swap outboxes into
                     // the shared mailbox matrix (one lock + one pointer
                     // swap per non-empty pair).
-                    let work_t0 = if profiling {
+                    let work_t0 = if recording {
                         telemetry::profile::now_us()
                     } else {
                         0
@@ -191,7 +194,7 @@ pub(crate) fn run_epochs<A: Actor>(
                     let mb_bytes = mb_events * std::mem::size_of::<OutEv<A::Msg, A::Cmd>>() as u64;
                     shard.core.sync.mailbox_events_out += mb_events;
                     shard.core.sync.mailbox_bytes_out += mb_bytes;
-                    let work_end = if profiling {
+                    let work_end = if recording {
                         telemetry::profile::now_us()
                     } else {
                         0
@@ -217,7 +220,7 @@ pub(crate) fn run_epochs<A: Actor>(
                             shard.core.enqueue_local(e.at, e.key, e.ev);
                         }
                     }
-                    if profiling {
+                    if recording {
                         let end = telemetry::profile::now_us();
                         telemetry::profile::epoch_sample(telemetry::profile::EpochSample {
                             shard: i as u16,
@@ -232,7 +235,17 @@ pub(crate) fn run_epochs<A: Actor>(
                         });
                     }
                 }
-            });
+                recording.then(|| {
+                    telemetry::set_enabled(false);
+                    telemetry::take()
+                })
+            }));
+        }
+        for worker in workers {
+            match worker.join() {
+                Ok(sink) => sink.into_iter().for_each(telemetry::absorb),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
 

@@ -7,18 +7,17 @@
 //! on demand (`repro --flight-out`) or from a panic hook
 //! ([`install_panic_hook`]).
 //!
-//! Recording takes a mutex, but spans are emitted at campaign-phase
-//! granularity (a handful per virtual hour), never per engine event, so
-//! this is nowhere near a hot path.
+//! Each thread keeps its own ring (shard workers' are appended to the
+//! campaign thread's), and the dump is ordered by span content, so it does
+//! not depend on which shard recorded a span.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Maximum retained span events; older events are dropped FIFO.
 pub const RING_CAP: usize = 4096;
 
-/// One structured span event.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One structured span event; its derived order is the dump order.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanEvent {
     /// Virtual start time, ns.
     pub t_ns: u64,
@@ -32,58 +31,47 @@ pub struct SpanEvent {
     pub a: u64,
 }
 
-struct Ring {
+/// One thread's ring: the newest [`RING_CAP`] spans, and a drop count.
+#[derive(Debug, Default)]
+pub(crate) struct Ring {
     buf: VecDeque<SpanEvent>,
     dropped: u64,
 }
 
-static RING: Mutex<Option<Ring>> = Mutex::new(None);
+impl Ring {
+    fn push(&mut self, ev: SpanEvent) {
+        if self.buf.len() >= RING_CAP {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(ev);
+    }
 
-fn with_ring<T>(f: impl FnOnce(&mut Ring) -> T) -> T {
-    let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-    let ring = guard.get_or_insert_with(|| Ring {
-        buf: VecDeque::with_capacity(64),
-        dropped: 0,
-    });
-    f(ring)
+    /// Append another ring's spans after this one's, re-applying the cap.
+    pub(crate) fn absorb(&mut self, other: Ring) {
+        self.dropped += other.dropped;
+        for ev in other.buf {
+            self.push(ev);
+        }
+    }
 }
 
 /// Record a span with a virtual duration. No-op while telemetry is off.
 pub fn span(t_ns: u64, dur_ns: u64, kind: &'static str, label: impl Into<String>, a: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_ring(|ring| {
-        if ring.buf.len() >= RING_CAP {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(SpanEvent {
+    crate::record(|s| {
+        s.flight.push(SpanEvent {
             t_ns,
             dur_ns,
             kind,
             label: label.into(),
             a,
-        });
+        })
     });
 }
 
-/// Record an instantaneous mark. No-op while telemetry is off.
-pub fn instant(t_ns: u64, kind: &'static str, label: impl Into<String>, a: u64) {
-    span(t_ns, 0, kind, label, a);
-}
-
-/// Number of events currently retained (plus how many were dropped).
+/// Number of events this thread retains (plus how many were dropped).
 pub fn len() -> (usize, u64) {
-    with_ring(|ring| (ring.buf.len(), ring.dropped))
-}
-
-/// Clear the recorder.
-pub fn reset() {
-    with_ring(|ring| {
-        ring.buf.clear();
-        ring.dropped = 0;
-    });
+    crate::SINK.with_borrow(|s| (s.flight.buf.len(), s.flight.dropped))
 }
 
 /// Minimal JSON string escaper — labels are ASCII identifiers in practice,
@@ -104,10 +92,14 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-/// Render the retained events as JSONL, oldest first. Deterministic: the
-/// output depends only on the recorded spans (virtual time).
+/// Render this thread's retained events as JSONL in [`SpanEvent`] order
+/// (virtual start time first). Below [`RING_CAP`] the output is a function
+/// of the recorded spans alone, whichever shard recorded them.
 pub fn dump_jsonl() -> String {
-    with_ring(|ring| {
+    crate::SINK.with_borrow(|s| {
+        let ring = &s.flight;
+        let mut spans: Vec<_> = ring.buf.iter().collect();
+        spans.sort_unstable();
         let mut out = String::new();
         if ring.dropped > 0 {
             out.push_str(&format!(
@@ -115,7 +107,7 @@ pub fn dump_jsonl() -> String {
                 ring.dropped, RING_CAP
             ));
         }
-        for ev in &ring.buf {
+        for ev in spans {
             out.push_str(&format!(
                 "{{\"t_ns\":{},\"dur_ns\":{},\"kind\":\"{}\",\"label\":\"",
                 ev.t_ns, ev.dur_ns, ev.kind
@@ -134,9 +126,11 @@ pub fn dump_to(path: &str) -> std::io::Result<usize> {
     Ok(n)
 }
 
-/// Chain a panic hook that dumps the flight recorder to `path` (only when
-/// non-empty), then runs the previously installed hook. Installed by the
-/// `repro` binary so failed long runs leave a post-mortem trace.
+/// Chain a panic hook that dumps the panicking thread's flight recorder to
+/// `path` (only when non-empty), then runs the previously installed hook.
+/// Installed by the `repro` binary so failed long runs leave a post-mortem
+/// trace. A panic inside a shard worker therefore dumps that worker's
+/// spans only, not the campaign thread's.
 pub fn install_panic_hook(path: &str) {
     let path = path.to_string();
     let prev = std::panic::take_hook();
@@ -158,9 +152,8 @@ mod tests {
 
     #[test]
     fn ring_caps_and_dumps() {
-        let _guard = crate::metrics::test_lock();
         crate::set_enabled(true);
-        reset();
+        crate::reset();
         for i in 0..(RING_CAP + 10) as u64 {
             span(i, 1, "phase", "warmup", i);
         }
@@ -171,14 +164,13 @@ mod tests {
         assert!(dump.starts_with("{\"kind\":\"meta\",\"dropped\":10"));
         assert!(dump.lines().count() == RING_CAP + 1);
         crate::set_enabled(false);
-        reset();
+        crate::reset();
     }
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = crate::metrics::test_lock();
         crate::set_enabled(false);
-        reset();
+        crate::reset();
         span(1, 2, "crawl", "c0", 0);
         assert_eq!(len(), (0, 0));
     }

@@ -3,17 +3,18 @@
 //!
 //! Determinism contract: every recording operation is commutative —
 //! counter adds, per-bucket adds, sum adds and max-folds. A snapshot taken
-//! after a campaign therefore does not depend on thread interleaving or on
-//! how nodes were partitioned into shards: the multiset of recorded
-//! observations is fixed by the virtual-time trace, and commutative folds
-//! of a fixed multiset have a unique result. The test suite asserts
-//! snapshot equality across shard counts and reruns.
+//! after a campaign therefore does not depend on how nodes were
+//! partitioned into shards: the multiset of recorded observations is fixed
+//! by the virtual-time trace, each shard worker folds its share into its
+//! own thread's registry, and [`crate::absorb`] folds those registries
+//! together with the same adds and maxes. The test suite asserts snapshot
+//! equality across shard counts and reruns.
 //!
-//! The hot path is a relaxed atomic load (enabled check) plus one or two
-//! relaxed `fetch_add`s — no locks, no allocation.
+//! The hot path is the enabled check plus one or two plain adds into the
+//! calling thread's registry — no locks, no atomic read-modify-writes, no
+//! allocation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::iter::zip;
 
 /// Monotonic event counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,67 +140,60 @@ impl Metric {
     }
 }
 
-const N_COUNTERS: usize = COUNTERS.len();
-const N_GAUGES: usize = GAUGES.len();
-const N_METRICS: usize = METRICS.len();
 /// 64 log2 buckets cover the full u64 range.
 pub const N_BUCKETS: usize = 64;
 
-static COUNTER_CELLS: [AtomicU64; N_COUNTERS] = [const { AtomicU64::new(0) }; N_COUNTERS];
-static GAUGE_CELLS: [AtomicU64; N_GAUGES] = [const { AtomicU64::new(0) }; N_GAUGES];
-static HIST_SUM: [AtomicU64; N_METRICS] = [const { AtomicU64::new(0) }; N_METRICS];
-static HIST_BUCKETS: [[AtomicU64; N_BUCKETS]; N_METRICS] =
-    [const { [const { AtomicU64::new(0) }; N_BUCKETS] }; N_METRICS];
+/// One thread's registry, indexed by metric id.
+#[derive(Debug, Default)]
+pub(crate) struct Registry {
+    counters: [u64; COUNTERS.len()],
+    gauges: [u64; GAUGES.len()],
+    hists: [Hist; METRICS.len()],
+}
+
+impl Registry {
+    /// Fold another registry in: counters add, gauges max, histograms merge.
+    pub(crate) fn absorb(&mut self, other: &Registry) {
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a += b;
+        }
+        for (a, b) in self.gauges.iter_mut().zip(&other.gauges) {
+            *a = (*a).max(*b);
+        }
+        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
+            a.merge(b);
+        }
+    }
+}
 
 /// Add `n` to a counter. No-op while telemetry is disabled.
 #[inline]
 pub fn count(c: Counter, n: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    COUNTER_CELLS[c as usize].fetch_add(n, Ordering::Relaxed);
+    crate::record(|s| s.metrics.counters[c as usize] += n);
 }
 
 /// Fold `v` into a high-water-mark gauge. No-op while telemetry is disabled.
 #[inline]
 pub fn gauge_max(g: Gauge, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    GAUGE_CELLS[g as usize].fetch_max(v, Ordering::Relaxed);
+    crate::record(|s| {
+        let cell = &mut s.metrics.gauges[g as usize];
+        *cell = (*cell).max(v);
+    });
 }
 
 /// Record one observation into a histogram. No-op while disabled.
 #[inline]
 pub fn observe(m: Metric, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    let bucket = v.max(1).ilog2() as usize;
-    HIST_BUCKETS[m as usize][bucket].fetch_add(1, Ordering::Relaxed);
-    HIST_SUM[m as usize].fetch_add(v, Ordering::Relaxed);
+    crate::record(|s| s.metrics.hists[m as usize].observe(v));
 }
 
-/// Zero the whole registry.
+/// Zero this thread's registry.
 pub fn reset() {
-    for c in &COUNTER_CELLS {
-        c.store(0, Ordering::Relaxed);
-    }
-    for g in &GAUGE_CELLS {
-        g.store(0, Ordering::Relaxed);
-    }
-    for s in &HIST_SUM {
-        s.store(0, Ordering::Relaxed);
-    }
-    for row in &HIST_BUCKETS {
-        for b in row {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
+    crate::SINK.with_borrow_mut(|s| s.metrics = Registry::default());
 }
 
-/// A plain mergeable histogram — the snapshot form of the atomic registry
-/// rows, and the reference model for the shard-merge proptest.
+/// A plain mergeable histogram: one row of the registry, and the fold that
+/// joins the shard workers' rows (checked by the shard-merge proptest).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hist {
     pub count: u64,
@@ -218,8 +212,8 @@ impl Default for Hist {
 }
 
 impl Hist {
-    /// Record one observation (same bucketing as the live registry; sums
-    /// wrap on overflow exactly like the atomic `fetch_add` cells do).
+    /// Record one observation into bucket `v.max(1).ilog2()`; the sum
+    /// wraps on overflow.
     pub fn observe(&mut self, v: u64) {
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
@@ -304,45 +298,16 @@ impl Snapshot {
     }
 }
 
-/// Copy the registry into a [`Snapshot`].
+/// Copy this thread's registry into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
-    let counters = COUNTERS
-        .iter()
-        .map(|c| (c.name(), COUNTER_CELLS[*c as usize].load(Ordering::Relaxed)))
-        .collect();
-    let gauges = GAUGES
-        .iter()
-        .map(|g| (g.name(), GAUGE_CELLS[*g as usize].load(Ordering::Relaxed)))
-        .collect();
-    let hists = METRICS
-        .iter()
-        .map(|m| {
-            let i = *m as usize;
-            let mut hist = Hist {
-                count: 0,
-                sum: HIST_SUM[i].load(Ordering::Relaxed),
-                buckets: [0; N_BUCKETS],
-            };
-            for (b, cell) in HIST_BUCKETS[i].iter().enumerate() {
-                let n = cell.load(Ordering::Relaxed);
-                hist.buckets[b] = n;
-                hist.count += n;
-            }
-            (m.name(), hist)
-        })
-        .collect();
-    Snapshot {
-        counters,
-        gauges,
-        hists,
-    }
-}
-
-/// Serialize tests that touch the global registry within one test binary.
-/// (Separate test binaries are separate processes and need no lock.)
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    crate::SINK.with_borrow(|s| {
+        let r = &s.metrics;
+        Snapshot {
+            counters: zip(COUNTERS.map(Counter::name), r.counters).collect(),
+            gauges: zip(GAUGES.map(Gauge::name), r.gauges).collect(),
+            hists: zip(METRICS.map(Metric::name), r.hists.clone()).collect(),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -351,7 +316,6 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = test_lock();
         crate::set_enabled(false);
         reset();
         count(Counter::DialsOk, 5);
@@ -365,7 +329,6 @@ mod tests {
 
     #[test]
     fn enabled_records_and_buckets() {
-        let _guard = test_lock();
         crate::set_enabled(true);
         reset();
         count(Counter::DialsOk, 2);
@@ -389,7 +352,6 @@ mod tests {
 
     #[test]
     fn digest_tracks_content() {
-        let _guard = test_lock();
         crate::set_enabled(true);
         reset();
         let empty = snapshot().digest();

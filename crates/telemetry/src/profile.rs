@@ -8,7 +8,7 @@
 //! from the deterministic metrics registry — the same segregation
 //! `SimStats` already applies to its wall-clock fields.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Maximum retained samples (≈ 4 MB worst case); the drop counter records
@@ -38,12 +38,31 @@ pub struct EpochSample {
     pub queue_len: u64,
 }
 
-struct Store {
+/// One thread's samples: the first [`SAMPLE_CAP`], and a count of the rest.
+#[derive(Debug, Default)]
+pub(crate) struct Store {
     samples: Vec<EpochSample>,
     dropped: u64,
 }
 
-static STORE: Mutex<Option<Store>> = Mutex::new(None);
+impl Store {
+    fn push(&mut self, sample: EpochSample) {
+        if self.samples.len() >= SAMPLE_CAP {
+            self.dropped += 1;
+        } else {
+            self.samples.push(sample);
+        }
+    }
+
+    /// Append another store's samples after this one's, re-applying the cap.
+    pub(crate) fn absorb(&mut self, other: Store) {
+        self.dropped += other.dropped;
+        for sample in other.samples {
+            self.push(sample);
+        }
+    }
+}
+
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
 /// Wall micros since the profiler anchor (set on first use).
@@ -54,48 +73,23 @@ pub fn now_us() -> u64 {
 /// Record one epoch sample. No-op while telemetry is off. Called once per
 /// shard per epoch — far off the per-event hot path.
 pub fn epoch_sample(sample: EpochSample) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    let store = guard.get_or_insert_with(|| Store {
-        samples: Vec::with_capacity(1024),
-        dropped: 0,
-    });
-    if store.samples.len() >= SAMPLE_CAP {
-        store.dropped += 1;
-    } else {
-        store.samples.push(sample);
-    }
+    crate::record(|s| s.profile.push(sample));
 }
 
-/// Retained sample count plus overflow count.
+/// This thread's retained sample count plus overflow count.
 pub fn len() -> (usize, u64) {
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    match guard.as_mut() {
-        Some(s) => (s.samples.len(), s.dropped),
-        None => (0, 0),
-    }
+    crate::SINK.with_borrow(|s| (s.profile.samples.len(), s.profile.dropped))
 }
 
-/// Clear the profiler (the wall anchor persists for the process).
-pub fn reset() {
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(s) = guard.as_mut() {
-        s.samples.clear();
-        s.dropped = 0;
-    }
-}
-
-/// Render all samples as a Chrome trace-event JSON document. Each epoch
-/// becomes a complete ("ph":"X") slice on track `tid = shard`, with a
-/// nested "work" slice for the processing phase; counters ride in `args`.
+/// Render this thread's samples as a Chrome trace-event JSON document.
+/// Each epoch becomes a complete ("ph":"X") slice on track `tid = shard`,
+/// with a nested "work" slice for the processing phase; counters ride in
+/// `args`.
 pub fn export_chrome_trace() -> String {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    if let Some(store) = guard.as_ref() {
-        for s in &store.samples {
+    crate::SINK.with_borrow(|sink| {
+        let mut out = String::from("{\"traceEvents\":[");
+        let mut first = true;
+        for s in &sink.profile.samples {
             if !first {
                 out.push(',');
             }
@@ -123,9 +117,9 @@ pub fn export_chrome_trace() -> String {
                 ));
             }
         }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out
+    })
 }
 
 /// Write the Chrome trace to a file. Returns the retained sample count.
@@ -155,9 +149,8 @@ mod tests {
 
     #[test]
     fn records_and_exports() {
-        let _guard = crate::metrics::test_lock();
         crate::set_enabled(true);
-        reset();
+        crate::reset();
         epoch_sample(sample(0, 0));
         epoch_sample(sample(1, 3));
         let trace = export_chrome_trace();
@@ -167,14 +160,13 @@ mod tests {
         assert!(trace.contains("\"name\":\"work\""));
         assert!(trace.contains("\"tid\":1"));
         assert_eq!(len().0, 2);
-        reset();
+        crate::reset();
     }
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = crate::metrics::test_lock();
         crate::set_enabled(false);
-        reset();
+        crate::reset();
         epoch_sample(sample(0, 0));
         assert_eq!(len(), (0, 0));
     }

@@ -58,7 +58,6 @@ fn run_recovery_timeline(seed: u64, shards: usize) -> (Vec<String>, u64) {
 
 #[test]
 fn recovery_timeline_identical_with_telemetry_on_and_off() {
-    let _guard = telemetry::metrics::test_lock();
     telemetry::set_enabled(false);
     telemetry::reset();
     let off = run_recovery_timeline(7, 2);
