@@ -7,7 +7,7 @@
 
 use crate::messages::ProviderRecord;
 use ipfs_types::FxHashMap as HashMap;
-use ipfs_types::{Cid, Key256, PeerId};
+use ipfs_types::{Cid, Multihash, PeerId};
 use simnet::{Dur, SimTime};
 
 /// Provider-store configuration.
@@ -29,11 +29,13 @@ impl Default for ProviderStoreConfig {
     }
 }
 
-/// Provider records indexed by the CID's DHT key.
+/// Provider records indexed by multihash, as go-libp2p's provider store
+/// is. The CID's DHT key is a hash of its multihash, so the grouping is the
+/// one the key would give, and neither storing nor serving a record hashes.
 #[derive(Clone, Debug, Default)]
 pub struct ProviderStore {
     cfg: ProviderStoreConfig,
-    map: HashMap<Key256, Vec<ProviderRecord>>,
+    map: HashMap<Multihash, Vec<ProviderRecord>>,
     /// No stored record has an earlier `stored_at`. A lower bound, not the
     /// minimum: removals and refreshes leave it alone, `cleanup`'s scan
     /// makes it exact again.
@@ -58,8 +60,7 @@ impl ProviderStore {
         } else {
             self.oldest.min(now)
         };
-        let key = record.cid.dht_key();
-        let slot = self.map.entry(key).or_default();
+        let slot = self.map.entry(record.cid.hash).or_default();
         if let Some(existing) = slot
             .iter_mut()
             .find(|r| r.provider == record.provider && r.cid == record.cid)
@@ -83,15 +84,14 @@ impl ProviderStore {
 
     /// Fetch live records for `cid`, pruning expired ones in passing.
     pub fn get(&mut self, cid: &Cid, now: SimTime) -> Vec<ProviderRecord> {
-        let key = cid.dht_key();
-        let Some(slot) = self.map.get_mut(&key) else {
+        let Some(slot) = self.map.get_mut(&cid.hash) else {
             return Vec::new();
         };
         let ttl = self.cfg.ttl;
         slot.retain(|r| now.since(r.stored_at) <= ttl);
         let out: Vec<ProviderRecord> = slot.iter().filter(|r| r.cid == *cid).cloned().collect();
         if slot.is_empty() {
-            self.map.remove(&key);
+            self.map.remove(&cid.hash);
         }
         out
     }
@@ -138,7 +138,7 @@ impl ProviderStore {
     /// Whether any record for `cid` names `provider` (test helper).
     pub fn has_provider(&self, cid: &Cid, provider: &PeerId) -> bool {
         self.map
-            .get(&cid.dht_key())
+            .get(&cid.hash)
             .map(|v| v.iter().any(|r| r.provider == *provider && r.cid == *cid))
             .unwrap_or(false)
     }
@@ -245,8 +245,8 @@ mod tests {
 
     #[test]
     fn same_multihash_different_version_are_distinct_records() {
-        // v0 and v1 CIDs share the DHT key but remain distinct records, as
-        // in the real store (keyed by multihash, value carries the CID).
+        // v0 and v1 CIDs share the multihash (and so the DHT key) but remain
+        // distinct records, as in the real store: the value carries the CID.
         let data = b"same-content";
         let v0 = Cid::new_v0(data);
         let v1 = Cid {

@@ -40,23 +40,26 @@
 //! left that refreshes an entry without either hearing from the peer
 //! (`observe`) or pruning.
 //!
-//! ## `closest` walks buckets in distance order without sorting
+//! ## `closest` reads buckets as disjoint distance intervals
 //!
 //! Let `D = local ⊕ target`. Every entry of bucket `i < last` shares exactly
-//! `i` prefix bits with `local`, so its distance to `target` starts with
-//! `D`'s first `i` bits followed by `¬D[i]`; the last bucket fixes only the
-//! first `last` bits. The smallest distance a bucket can hold
-//! ([`RoutingTable::bucket_min_distance`]) is that prefix padded with zeros,
-//! and two such bounds first differ at bit `min(i, j)`, where the one from
-//! the lower bucket reads `¬D[i]` and the other reads `D[i]`. Hence the
-//! bounds are totally ordered by the bits of `D` alone: buckets `i < last`
-//! with `D[i] = 1` in ascending index, then the last bucket, then buckets
-//! with `D[i] = 0` in descending index ([`RoutingTable::walk_order`]).
-//! `closest` visits buckets in that order, keeps the best `count` in a stack
-//! array and stops once the next bound cannot beat the current worst.
+//! `i` prefix bits with `local`, so its distance to `target` agrees with `D`
+//! on bits `0..i` and reads `¬D[i]` at bit `i`; the last bucket fixes only
+//! bits `0..last`, which agree with `D`. Take buckets `i < j` (`j` possibly
+//! the last): all their distances agree on bits `0..i`, and at bit `i`
+//! bucket `i` reads `¬D[i]` while bucket `j` reads `D[i]`. So when
+//! `D[i] = 1` *every* entry of bucket `i` is closer than every entry of
+//! bucket `j`, and when `D[i] = 0` every entry is farther. The buckets are
+//! therefore disjoint distance intervals, totally ordered by the bits of
+//! `D` alone: buckets `i < last` with `D[i] = 1` in ascending index, then
+//! the last bucket, then buckets with `D[i] = 0` in descending index
+//! ([`RoutingTable::walk_order`]). `closest` visits buckets in that order,
+//! sorts each one on its own (at most `k` entries, on a stack buffer) and
+//! appends them until `count` are out: no entry is compared against
+//! another bucket's.
 
 use crate::messages::PeerInfo;
-use ipfs_types::{Distance, Key256, PeerId};
+use ipfs_types::{Key256, PeerId};
 use simnet::{Dur, NodeId, SimTime};
 
 /// One routing-table entry.
@@ -83,10 +86,16 @@ pub enum Observed {
     Rejected,
 }
 
-/// Largest `count` [`RoutingTable::closest`] serves: the running best set
-/// lives in a stack array of this size (k + 1 = 21 is the largest request
-/// the protocol makes).
-pub const MAX_CLOSEST: usize = 32;
+/// Largest bucket capacity a table accepts: [`RoutingTable::closest`] sorts
+/// one bucket at a time in a stack buffer of this size.
+const MAX_K: usize = 32;
+
+/// The leading 64 bits of a key, as a number. The XOR of two keys' prefixes
+/// is the prefix of their distance, which orders two distances unless they
+/// agree on it.
+fn prefix64(key: &Key256) -> u64 {
+    u64::from_be_bytes(key.0[..8].try_into().expect("8 bytes"))
+}
 
 /// A borrowed view of one k-bucket: the live window of the table's entry
 /// arena. Index = cpl, except the last bucket which also holds higher-cpl
@@ -144,8 +153,10 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// New table for a node whose ID hashes to `local`.
+    /// New table for a node whose ID hashes to `local`. `cfg.k` is at most
+    /// 32.
     pub fn new(local: Key256, cfg: TableConfig) -> RoutingTable {
+        assert!(cfg.k <= MAX_K, "bucket size k = {} exceeds {MAX_K}", cfg.k);
         let mut t = RoutingTable {
             local,
             cfg,
@@ -406,31 +417,8 @@ impl RoutingTable {
         }
     }
 
-    /// Lower bound on `d(e, target)` over entries of bucket `i`.
-    ///
-    /// Let `D = local ⊕ target`. A peer in bucket `i < last` shares exactly
-    /// `i` prefix bits with `local`, so its distance to `target` agrees with
-    /// `D` on the first `i` bits, has bit `i` flipped, and is free below —
-    /// the minimum is that fixed prefix padded with zeros. The last bucket
-    /// holds every cpl ≥ `last`, so only the prefix is fixed.
-    fn bucket_min_distance(d: &[u8; 32], i: usize, is_last: bool) -> Distance {
-        let mut m = [0u8; 32];
-        let full = (i / 8).min(32);
-        m[..full].copy_from_slice(&d[..full]);
-        if i < 256 {
-            let rem = i % 8;
-            if rem > 0 {
-                m[full] = d[full] & (0xFFu8 << (8 - rem));
-            }
-            if !is_last && d[i / 8] & (1 << (7 - rem)) == 0 {
-                m[i / 8] |= 1 << (7 - rem);
-            }
-        }
-        Distance(m)
-    }
-
-    /// Bucket indices in ascending order of [`Self::bucket_min_distance`]
-    /// for `D = local ⊕ target`, read off the bits of `d` (module doc).
+    /// Bucket indices in ascending order of their distance intervals for
+    /// `D = local ⊕ target`, read off the bits of `d` (module doc).
     fn walk_order(d: &[u8; 32], n_buckets: usize) -> impl Iterator<Item = usize> + '_ {
         let last = n_buckets - 1;
         let bit = move |i: usize| d[i / 8] & (0x80 >> (i % 8)) != 0;
@@ -441,7 +429,7 @@ impl RoutingTable {
     }
 
     /// The `count` known peers closest to `target` by XOR distance, closest
-    /// first — the seed set of a lookup. `count` is at most [`MAX_CLOSEST`].
+    /// first — the seed set of a lookup.
     pub fn closest(&self, target: &Key256, count: usize) -> Vec<PeerInfo> {
         self.select_closest(target, count, None)
     }
@@ -458,57 +446,49 @@ impl RoutingTable {
     }
 
     /// Served on every incoming DHT request, so it must neither scan the
-    /// whole table nor allocate beyond the reply: buckets are visited in
-    /// ascending order of their minimum possible distance to `target`
-    /// ([`Self::walk_order`]), the running best `count` sit in a stack
-    /// array, and the walk stops as soon as the current `count`-th best
-    /// beats the next bucket's lower bound — in a warm table that prunes
-    /// all but a couple of buckets. Distances are unique in a hash
-    /// keyspace, so the result is deterministic and identical to a full
-    /// sort.
+    /// whole table nor allocate beyond the reply. Buckets come in ascending
+    /// distance-interval order ([`Self::walk_order`]), so the result is the
+    /// buckets in that order, each sorted, cut at `count`. A bucket is
+    /// sorted on the leading 64 bits of each distance, the full distance
+    /// breaking ties; distances are unique in a hash keyspace, so the
+    /// result is deterministic and identical to a full sort.
     fn select_closest(
         &self,
         target: &Key256,
         count: usize,
         exclude: Option<&PeerId>,
     ) -> Vec<PeerInfo> {
-        assert!(
-            count <= MAX_CLOSEST,
-            "closest({count}) exceeds MAX_CLOSEST = {MAX_CLOSEST}"
-        );
-        if count == 0 {
-            return Vec::new();
-        }
         let d_local = self.local.distance(target).0;
-        let nb = self.lens.len();
-        // `best[..n]`: (distance, arena index), ascending by distance.
-        let mut best = [(Distance::ZERO, 0u32); MAX_CLOSEST];
-        let mut n = 0usize;
-        for bi in Self::walk_order(&d_local, nb) {
-            let len = self.lens[bi] as usize;
-            if len == 0 {
-                continue;
-            }
-            if n == count && Self::bucket_min_distance(&d_local, bi, bi == nb - 1) >= best[n - 1].0
-            {
+        let t64 = prefix64(target);
+        let ex64 = exclude.map(|p| prefix64(&p.0));
+        let dist = |i: u32| self.arena[i as usize].info.id.key().distance(target);
+        let mut out = Vec::with_capacity(count.min(self.len()));
+        // One bucket's (leading 64 bits of distance, arena index).
+        let mut buf = [(0u64, 0u32); MAX_K];
+        for bi in Self::walk_order(&d_local, self.lens.len()) {
+            if out.len() == count {
                 break;
             }
             let base = bi * self.cfg.k;
-            for (j, e) in self.arena[base..base + len].iter().enumerate() {
-                let d = e.info.id.key().distance(target);
-                if (n == count && d >= best[n - 1].0) || exclude == Some(&e.info.id) {
+            let mut m = 0usize;
+            for (j, e) in self.window(bi).iter().enumerate() {
+                let id64 = prefix64(&e.info.id.0);
+                if ex64 == Some(id64) && exclude == Some(&e.info.id) {
                     continue;
                 }
-                let pos = best[..n].partition_point(|(bd, _)| *bd < d);
-                n = (n + 1).min(count);
-                best.copy_within(pos..n - 1, pos + 1);
-                best[pos] = (d, (base + j) as u32);
+                buf[m] = (id64 ^ t64, (base + j) as u32);
+                m += 1;
             }
+            let bucket = &mut buf[..m];
+            bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| dist(a.1).cmp(&dist(b.1))));
+            let take = m.min(count - out.len());
+            out.extend(
+                bucket[..take]
+                    .iter()
+                    .map(|&(_, i)| self.arena[i as usize].info.clone()),
+            );
         }
-        best[..n]
-            .iter()
-            .map(|&(_, i)| self.arena[i as usize].info.clone())
-            .collect()
+        out
     }
 
     /// Evict entries not heard from within `max_age` (kubo's usefulness
@@ -841,17 +821,91 @@ mod tests {
         );
     }
 
+    /// The fact `closest` rests on: in walk order, every entry of a bucket
+    /// is closer to the target than every entry of the next non-empty one.
     #[test]
-    fn walk_order_is_the_sorted_lower_bound_order() {
-        for seed in 0..200u64 {
-            let d = Key256::from_seed(seed).0;
-            for nb in [1usize, 2, 3, 9, 17, 64, 255, 256] {
-                let mut sorted: Vec<usize> = (0..nb).collect();
-                sorted.sort_by_key(|&i| RoutingTable::bucket_min_distance(&d, i, i == nb - 1));
-                let walked: Vec<usize> = RoutingTable::walk_order(&d, nb).collect();
-                assert_eq!(walked, sorted, "seed {seed}, {nb} buckets");
+    fn walk_order_buckets_are_ascending_intervals() {
+        for k in [2usize, 20] {
+            for seed in 0..30u64 {
+                let local = PeerId::from_seed(1_000_000 + seed).key();
+                let mut t = RoutingTable::new(
+                    local,
+                    TableConfig {
+                        k,
+                        ..TableConfig::default()
+                    },
+                );
+                for s in 0..300u64 {
+                    t.try_insert(info(seed * 1000 + s + 1), SimTime::ZERO);
+                }
+                let nb = t.bucket_count();
+                assert!(nb > 3, "k {k}, seed {seed}: only {nb} buckets");
+                // A random target, and one a bit flip from `local` (bits up
+                // to one past the last bucket, so the walk also starts in
+                // the last bucket or right beside it).
+                let flip = (seed % (nb as u64 + 1)) as u32;
+                for target in [Key256::from_seed(seed), local.with_bit_flipped(flip)] {
+                    let d = local.distance(&target).0;
+                    let order: Vec<usize> = RoutingTable::walk_order(&d, nb).collect();
+                    let mut sorted = order.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, (0..nb).collect::<Vec<_>>(), "a permutation");
+                    let spans: Vec<_> = order
+                        .iter()
+                        .filter(|&&i| !t.bucket(i).is_empty())
+                        .map(|&i| {
+                            let ds = t
+                                .bucket(i)
+                                .entries()
+                                .iter()
+                                .map(|e| e.info.id.key().distance(&target));
+                            (ds.clone().min().unwrap(), ds.max().unwrap())
+                        })
+                        .collect();
+                    for w in spans.windows(2) {
+                        assert!(w[0].1 < w[1].0, "k {k}, seed {seed}, target {target:?}");
+                    }
+                }
             }
         }
+    }
+
+    /// Distances that agree on their leading 64 bits: the sort falls back
+    /// to the full distance, and an `exclude` id with the same leading 64
+    /// bits as kept entries drops only itself.
+    #[test]
+    fn closest_breaks_prefix_ties_on_the_full_distance() {
+        let id = |head: u8, tail: u8| {
+            let mut b = [0u8; 32];
+            b[0] = head;
+            b[8] = tail;
+            PeerId(Key256(b))
+        };
+        let peer = |id: PeerId| PeerInfo {
+            id,
+            addrs: crate::messages::no_addrs(),
+            endpoint: NodeId(id.0 .0[0] as u32 * 256 + id.0 .0[8] as u32),
+        };
+        // Target zero: a peer's distance is its id. `local` has bit 0 set,
+        // so every peer below sits in bucket 0, in insertion order.
+        let mut local = [0u8; 32];
+        local[0] = 0x80;
+        let mut t = RoutingTable::new(Key256(local), TableConfig::default());
+        let (a, b, c) = (id(0x01, 0x30), id(0x01, 0x10), id(0x01, 0x20));
+        let (e, f) = (id(0x02, 0x00), id(0x00, 0xff));
+        for p in [a, e, c, f, b] {
+            assert!(t.try_insert(peer(p), SimTime::ZERO));
+        }
+        let ids = |v: Vec<PeerInfo>| v.into_iter().map(|p| p.id).collect::<Vec<_>>();
+        let target = Key256::ZERO;
+        assert_eq!(ids(t.closest(&target, 5)), vec![f, b, c, a, e]);
+        assert_eq!(ids(t.closest(&target, 3)), vec![f, b, c]);
+        let stranger = id(0x01, 0x28);
+        assert_eq!(
+            ids(t.closest_excluding(&target, 5, &stranger)),
+            vec![f, b, c, a, e]
+        );
+        assert_eq!(ids(t.closest_excluding(&target, 3, &c)), vec![f, b, a]);
     }
 
     #[test]

@@ -180,57 +180,61 @@ proptest! {
         sender in any::<usize>(),
     ) {
         let local_key = PeerId::from_seed(local).key();
-        let mut t = RoutingTable::new(local_key, TableConfig::default());
-        // Even seeds go in an hour later than odd ones; flagged entries
-        // survive pruning like connected peers do.
-        let late = SimTime::ZERO + Dur::from_hours(1);
-        for (i, s) in seeds.iter().enumerate() {
-            let at = if s % 2 == 0 { late } else { SimTime::ZERO };
-            t.try_insert(info(*s), at);
-            if i % 7 == 0 {
-                t.set_connected(&PeerId::from_seed(*s), true);
+        // k = 3 unfolds many small buckets, so results span several of them
+        // and end mid-bucket.
+        for k in [20, 3] {
+            let mut t = RoutingTable::new(local_key, TableConfig { k, ..TableConfig::default() });
+            // Even seeds go in an hour later than odd ones; flagged entries
+            // survive pruning like connected peers do.
+            let late = SimTime::ZERO + Dur::from_hours(1);
+            for (i, s) in seeds.iter().enumerate() {
+                let at = if s % 2 == 0 { late } else { SimTime::ZERO };
+                t.try_insert(info(*s), at);
+                if i % 7 == 0 {
+                    t.set_connected(&PeerId::from_seed(*s), true);
+                }
             }
-        }
-        // Empty out buckets: remove a masked subset, then (half the time)
-        // prune everything from the early wave.
-        for (i, s) in seeds.iter().enumerate() {
-            if (drop_mask >> (i % 64)) & 1 == 1 {
-                t.remove(&PeerId::from_seed(*s));
+            // Empty out buckets: remove a masked subset, then (half the
+            // time) prune everything from the early wave.
+            for (i, s) in seeds.iter().enumerate() {
+                if (drop_mask >> (i % 64)) & 1 == 1 {
+                    t.remove(&PeerId::from_seed(*s));
+                }
             }
-        }
-        if drop_mask & 1 == 0 {
-            t.prune_stale(late, Dur::from_mins(30));
-        }
-        let target = if near_bit < 256 {
-            local_key.with_bit_flipped(near_bit)
-        } else {
-            Key256::from_seed(target)
-        };
-        // Reference: a full sort of the table contents.
-        let mut all: Vec<PeerId> = t.entries().map(|e| e.info.id).collect();
-        all.sort_by_key(|p| p.key().distance(&target));
-        let k = 20;
-        for count in [1, k, k + 1] {
-            let got: Vec<PeerId> = t.closest(&target, count).iter().map(|p| p.id).collect();
-            let want: Vec<PeerId> = all.iter().copied().take(count).collect();
-            prop_assert_eq!(got, want, "count {}", count);
-        }
-        // The request-serving variant: full sort, drop the sender, take k.
-        // The sender is one of the k + 2 closest, so that dropping it shows.
-        if !all.is_empty() {
-            let sender = all[sender % all.len().min(k + 2)];
-            let got: Vec<PeerId> =
-                t.closest_excluding(&target, k, &sender).iter().map(|p| p.id).collect();
-            let want: Vec<PeerId> =
-                all.iter().copied().filter(|p| *p != sender).take(k).collect();
-            prop_assert_eq!(got, want);
-        }
-        let stranger = PeerId::from_seed(local ^ 1);
-        if t.get(&stranger).is_none() {
-            prop_assert_eq!(
-                t.closest_excluding(&target, k, &stranger),
-                t.closest(&target, k)
-            );
+            if drop_mask & 1 == 0 {
+                t.prune_stale(late, Dur::from_mins(30));
+            }
+            let target = if near_bit < 256 {
+                local_key.with_bit_flipped(near_bit)
+            } else {
+                Key256::from_seed(target)
+            };
+            // Reference: a full sort of the table contents.
+            let mut all: Vec<PeerId> = t.entries().map(|e| e.info.id).collect();
+            all.sort_by_key(|p| p.key().distance(&target));
+            for count in [1, k, k + 1, 3 * k + 1, 32] {
+                let got: Vec<PeerId> = t.closest(&target, count).iter().map(|p| p.id).collect();
+                let want: Vec<PeerId> = all.iter().copied().take(count).collect();
+                prop_assert_eq!(got, want, "k {}, count {}", k, count);
+            }
+            // The request-serving variant: full sort, drop the sender, take
+            // k. The sender is one of the k + 2 closest, so that dropping it
+            // shows.
+            if !all.is_empty() {
+                let sender = all[sender % all.len().min(k + 2)];
+                let got: Vec<PeerId> =
+                    t.closest_excluding(&target, k, &sender).iter().map(|p| p.id).collect();
+                let want: Vec<PeerId> =
+                    all.iter().copied().filter(|p| *p != sender).take(k).collect();
+                prop_assert_eq!(got, want, "k {}", k);
+            }
+            let stranger = PeerId::from_seed(local ^ 1);
+            if t.get(&stranger).is_none() {
+                prop_assert_eq!(
+                    t.closest_excluding(&target, k, &stranger),
+                    t.closest(&target, k)
+                );
+            }
         }
     }
 

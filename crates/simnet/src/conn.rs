@@ -5,12 +5,17 @@
 //! cache lines and forces a collect-and-sort on every deterministic
 //! iteration, and a heap allocation per node is one more thing a fork copies.
 //! [`ConnPool`] keeps every owned node's connection half in one contiguous
-//! `Vec<ConnEntry>`, each node a sorted power-of-two window of it. Lookup is
-//! a binary search; iteration is already in deterministic ascending order
-//! and allocation-free.
+//! slab, each node a sorted power-of-two window of it. The slab is two
+//! index-aligned columns: the remote ids (4 bytes a slot), which every
+//! lookup binary-searches, and the `(relayed, address)` pairs (8 bytes),
+//! read only once a lookup has found its slot. A search's probes read 4
+//! bytes each instead of a whole 12-byte [`ConnEntry`], and the two columns
+//! together take exactly the bytes of one entry per slot. Iteration is
+//! already in deterministic ascending order and allocation-free.
 
 use crate::state::NodeId;
 use std::net::{Ipv4Addr, SocketAddrV4};
+use std::ops::Range;
 
 /// One connection record. Each endpoint owns *its half* of a connection:
 /// the entry also captures the remote socket address observed during the
@@ -27,15 +32,11 @@ pub struct ConnEntry {
     pub addr: SocketAddrV4,
 }
 
-impl Default for ConnEntry {
-    fn default() -> Self {
-        ConnEntry {
-            peer: NodeId(0),
-            relayed: false,
-            addr: SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0),
-        }
-    }
-}
+/// The non-key half of a [`ConnEntry`]: `(relayed, addr)`.
+type ConnMeta = (bool, SocketAddrV4);
+
+/// What unused slab slots hold; never observable through the API.
+const NO_META: ConnMeta = (false, SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0));
 
 /// Smallest slab range handed to a node on its first connection.
 const POOL_BASE_CAP: u32 = 8;
@@ -44,7 +45,7 @@ const POOL_BASE_CAP: u32 = 8;
 const NO_RANGE: u8 = u8::MAX;
 
 /// Per-node handle into a [`ConnPool`]: a `[off, off+len)` window of the
-/// shared entry slab, with the window's capacity encoded as a power-of-two
+/// shared slab, with the window's capacity encoded as a power-of-two
 /// class (`POOL_BASE_CAP << class`).
 #[derive(Clone, Copy, Debug)]
 struct ConnRef {
@@ -62,19 +63,26 @@ impl ConnRef {
 }
 
 /// Slab-allocated connection fabric: every node's sorted connection half
-/// lives in one contiguous per-shard `Vec<ConnEntry>` instead of a
-/// per-node heap allocation. Nodes are addressed by their dense *local*
-/// index at the owning shard; each holds a power-of-two-capacity window of
-/// the slab (grown by range reallocation, freed windows recycled through
-/// per-class freelists). Zero-connection nodes — the overwhelming majority
-/// at internet scale — cost only the 12-byte handle.
+/// lives in one contiguous per-shard slab instead of a per-node heap
+/// allocation. Nodes are addressed by their dense *local* index at the
+/// owning shard; each holds a power-of-two-capacity window of the slab
+/// (grown by range reallocation, freed windows recycled through per-class
+/// freelists). Zero-connection nodes — the overwhelming majority at
+/// internet scale — cost only the 12-byte handle.
 ///
-/// Entries within a window are kept sorted by peer id, so lookups stay a
-/// binary search and iteration stays deterministic ascending order.
+/// The slab is two index-aligned columns, `peers` and `meta`: slot `i` of
+/// both is one [`ConnEntry`]. Every window operation moves both, so the
+/// two `Vec`s always have the same length and grow to the same capacity.
+/// Ids within a window are kept sorted, so lookups stay a binary search
+/// (of the id column alone) and iteration stays deterministic ascending
+/// order.
 #[derive(Clone, Debug, Default)]
 pub struct ConnPool {
     refs: Vec<ConnRef>,
-    entries: Vec<ConnEntry>,
+    /// Remote ids, sorted within each window.
+    peers: Vec<NodeId>,
+    /// `(relayed, addr)` of the id in the same slot of `peers`.
+    meta: Vec<ConnMeta>,
     /// Freed windows by capacity class (`POOL_BASE_CAP << class`).
     free: Vec<Vec<u32>>,
 }
@@ -95,9 +103,26 @@ impl ConnPool {
         self.refs.push(ConnRef::EMPTY);
     }
 
-    fn range(&self, node: usize) -> &[ConnEntry] {
+    /// Slab slots of `node`'s live window.
+    #[inline]
+    fn span(&self, node: usize) -> Range<usize> {
         let r = &self.refs[node];
-        &self.entries[r.off as usize..(r.off + r.len) as usize]
+        r.off as usize..(r.off + r.len) as usize
+    }
+
+    /// Where `peer` sits in `node`'s window (`Ok`), or where it would be
+    /// inserted (`Err`): a binary search of the id column.
+    #[inline]
+    fn search(&self, node: usize, peer: NodeId) -> Result<usize, usize> {
+        self.peers[self.span(node)].binary_search(&peer)
+    }
+
+    /// `node`'s slab slot for `peer`, if connected.
+    #[inline]
+    fn slot(&self, node: usize, peer: NodeId) -> Option<usize> {
+        self.search(node, peer)
+            .ok()
+            .map(|i| self.refs[node].off as usize + i)
     }
 
     /// Carve a fresh window of capacity class `class` out of the slab
@@ -109,9 +134,10 @@ impl ConnPool {
             }
         }
         let cap = POOL_BASE_CAP << class;
-        let off = self.entries.len() as u32;
-        self.entries
-            .resize(self.entries.len() + cap as usize, ConnEntry::default());
+        let off = self.peers.len() as u32;
+        let end = self.peers.len() + cap as usize;
+        self.peers.resize(end, NodeId(0));
+        self.meta.resize(end, NO_META);
         off
     }
 
@@ -122,44 +148,37 @@ impl ConnPool {
         self.free[class as usize].push(off);
     }
 
+    /// Move slab slots `src` to start at `dest` in both columns.
+    fn copy_slots(&mut self, src: Range<usize>, dest: usize) {
+        self.peers.copy_within(src.clone(), dest);
+        self.meta.copy_within(src, dest);
+    }
+
     /// Number of open connections for `node`.
     pub fn len(&self, node: usize) -> usize {
         self.refs[node].len as usize
     }
 
-    /// `node`'s entry for `peer`, if connected (binary search of its window).
-    fn get(&self, node: usize, peer: NodeId) -> Option<&ConnEntry> {
-        let r = self.range(node);
-        r.binary_search_by_key(&peer, |e| e.peer)
-            .ok()
-            .map(|i| &r[i])
-    }
-
     /// Whether `node` holds a connection to `peer`.
+    #[inline]
     pub fn contains(&self, node: usize, peer: NodeId) -> bool {
-        self.get(node, peer).is_some()
+        self.search(node, peer).is_ok()
     }
 
     /// The `relayed` flag for `peer`, if connected.
     pub fn get_relayed(&self, node: usize, peer: NodeId) -> Option<bool> {
-        self.get(node, peer).map(|e| e.relayed)
+        self.slot(node, peer).map(|i| self.meta[i].0)
     }
 
     /// The captured remote address for `peer`, if connected.
     pub fn get_addr(&self, node: usize, peer: NodeId) -> Option<SocketAddrV4> {
-        self.get(node, peer).map(|e| e.addr)
+        self.slot(node, peer).map(|i| self.meta[i].1)
     }
 
     /// Insert or update `node`'s entry for `peer`, keeping the window
     /// sorted. Grows the window by range reallocation when full.
     pub fn insert(&mut self, node: usize, peer: NodeId, relayed: bool, addr: SocketAddrV4) {
-        let entry = ConnEntry {
-            peer,
-            relayed,
-            addr,
-        };
-        let r = self.refs[node];
-        if r.class == NO_RANGE {
+        if self.refs[node].class == NO_RANGE {
             let off = self.alloc(0);
             self.refs[node] = ConnRef {
                 off,
@@ -167,18 +186,16 @@ impl ConnPool {
                 class: 0,
             };
         }
-        let r = self.refs[node];
-        match self.range(node).binary_search_by_key(&peer, |e| e.peer) {
+        match self.search(node, peer) {
             Ok(i) => {
-                self.entries[r.off as usize + i] = entry;
+                self.meta[self.refs[node].off as usize + i] = (relayed, addr);
             }
             Err(i) => {
-                let cap = POOL_BASE_CAP << r.class;
-                if r.len == cap {
+                let r = self.refs[node];
+                if r.len == POOL_BASE_CAP << r.class {
                     // Window full: move to the next capacity class.
                     let new_off = self.alloc(r.class + 1);
-                    self.entries
-                        .copy_within(r.off as usize..(r.off + r.len) as usize, new_off as usize);
+                    self.copy_slots(self.span(node), new_off as usize);
                     self.free_range(r.off, r.class);
                     self.refs[node] = ConnRef {
                         off: new_off,
@@ -186,11 +203,10 @@ impl ConnPool {
                         class: r.class + 1,
                     };
                 }
-                let r = self.refs[node];
-                let base = r.off as usize;
-                self.entries
-                    .copy_within(base + i..base + r.len as usize, base + i + 1);
-                self.entries[base + i] = entry;
+                let Range { start, end } = self.span(node);
+                self.copy_slots(start + i..end, start + i + 1);
+                self.peers[start + i] = peer;
+                self.meta[start + i] = (relayed, addr);
                 self.refs[node].len += 1;
             }
         }
@@ -198,12 +214,10 @@ impl ConnPool {
 
     /// Remove `node`'s entry for `peer`; returns whether it existed.
     pub fn remove(&mut self, node: usize, peer: NodeId) -> bool {
-        let r = self.refs[node];
-        match self.range(node).binary_search_by_key(&peer, |e| e.peer) {
+        match self.search(node, peer) {
             Ok(i) => {
-                let base = r.off as usize;
-                self.entries
-                    .copy_within(base + i + 1..base + r.len as usize, base + i);
+                let Range { start, end } = self.span(node);
+                self.copy_slots(start + i + 1..end, start + i);
                 self.refs[node].len -= 1;
                 true
             }
@@ -213,18 +227,26 @@ impl ConnPool {
 
     /// Iterate `node`'s peers in ascending id order, allocation-free.
     pub fn peers(&self, node: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.range(node).iter().map(|e| e.peer)
+        self.peers[self.span(node)].iter().copied()
     }
 
     /// Iterate `node`'s full entries in ascending peer order.
     pub fn iter(&self, node: usize) -> impl Iterator<Item = ConnEntry> + '_ {
-        self.range(node).iter().copied()
+        let span = self.span(node);
+        self.peers[span.clone()]
+            .iter()
+            .zip(&self.meta[span])
+            .map(|(&peer, &(relayed, addr))| ConnEntry {
+                peer,
+                relayed,
+                addr,
+            })
     }
 
     /// Take every entry out of `node`'s window (churn teardown). The
     /// window itself is retained for the likely rejoin.
     pub fn take_all(&mut self, node: usize) -> Vec<ConnEntry> {
-        let out = self.range(node).to_vec();
+        let out = self.iter(node).collect();
         self.refs[node].len = 0;
         out
     }
@@ -234,10 +256,11 @@ impl ConnPool {
         self.refs[node].len = 0;
     }
 
-    /// Bytes held by the pool (slab + handles + freelists), counted at
-    /// capacity — what the allocator actually reserved.
+    /// Bytes held by the pool (both slab columns + handles + freelists),
+    /// counted at capacity — what the allocator actually reserved.
     pub fn bytes(&self) -> u64 {
-        (self.entries.capacity() * std::mem::size_of::<ConnEntry>()
+        (self.peers.capacity() * std::mem::size_of::<NodeId>()
+            + self.meta.capacity() * std::mem::size_of::<ConnMeta>()
             + self.refs.capacity() * std::mem::size_of::<ConnRef>()
             + self
                 .free
@@ -316,11 +339,12 @@ mod tests {
         assert_eq!(order, (0..100).collect::<Vec<u32>>());
         // Node 1 grows through the same classes: its first windows should
         // recycle the ones node 0 outgrew rather than extend the slab.
-        let before = p.entries.len();
+        let before = p.peers.len();
         for i in 0..8u32 {
             p.insert(1, n(i), false, a(i));
         }
-        assert_eq!(p.entries.len(), before, "freed window was recycled");
+        assert_eq!(p.peers.len(), before, "freed window was recycled");
+        assert_eq!(p.meta.len(), before);
         assert!(p.remove(0, n(50)));
         assert!(!p.remove(0, n(50)));
         assert_eq!(p.len(0), 99);
@@ -343,6 +367,43 @@ mod tests {
         p.clear(0);
         assert_eq!(p.len(0), 0);
         assert!(p.bytes() > 0);
+    }
+
+    /// `bytes()` of a scripted pool (growth through four classes, window
+    /// recycling, removals, a teardown) equals what the single-column
+    /// `Vec<ConnEntry>` slab reported for the same script: the two columns
+    /// are exactly one entry wide and grow in lockstep. The state-budget
+    /// pin's `owned_bytes` counts this figure.
+    #[test]
+    fn pool_bytes_match_one_entry_slab() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<NodeId>() + size_of::<ConnMeta>(),
+            size_of::<ConnEntry>()
+        );
+        let mut p = ConnPool::new();
+        for _ in 0..3 {
+            p.push_node();
+        }
+        for i in (0..100u32).rev() {
+            p.insert(0, n(i), i % 3 == 0, a(i));
+        }
+        for i in 0..8u32 {
+            p.insert(1, n(i), false, a(i));
+        }
+        for i in 0..20u32 {
+            p.insert(2, n(i * 7), false, a(i));
+        }
+        for i in 0..50u32 {
+            p.remove(0, n(2 * i));
+        }
+        p.take_all(2);
+        for i in 0..40u32 {
+            p.insert(1, n(i), true, a(i));
+        }
+        assert_eq!(p.bytes(), 6064);
+        // A fork's copy holds both columns at their length.
+        assert_eq!(p.clone().bytes(), 3508);
     }
 
     /// The pool against one `BTreeMap` per node, operation for operation.
