@@ -9,14 +9,19 @@
 //! the fetch on to the DHT. `DontHave` is answered to targeted `WantBlock`s
 //! only, and nothing here acts on it.
 //!
+//! Every want, block request and cancel goes out as a one-entry
+//! [`BitswapMessage::Want`] frame, so sending one allocates nothing.
+//!
 //! Other peers' wants for blocks we lack live in exactly one structure,
-//! `Cid → [(peer, want type)]`, and are served from it the moment the block
-//! arrives — the mechanism that lets gateways satisfy most requests without
-//! touching the DHT (§5 "ID centralization"). A fetch's broadcast registers
-//! and, when the fetch ends, cancels a want at every neighbour, so that
-//! path is one bucket push and one bucket removal, nothing per peer. A
-//! [`Ledger`] is only the go-bitswap block/byte account and exists only for
-//! peers a block was actually exchanged with.
+//! `Cid → wanters`, and are served from it the moment the block arrives —
+//! the mechanism that lets gateways satisfy most requests without touching
+//! the DHT (§5 "ID centralization"). A CID's wanters keep the first one
+//! inline and only further ones in a `Vec`. A fetch's broadcast registers
+//! and, when the fetch ends, cancels a want at every neighbour, and at a
+//! neighbour that is usually the CID's only wanter: one map insert and one
+//! map removal, no allocation, nothing per peer. A [`Ledger`] is only the
+//! go-bitswap block/byte account and exists only for peers a block was
+//! actually exchanged with.
 
 use crate::messages::{BitswapMessage, Block, WantEntry, WantType};
 use crate::store::MemoryBlockstore;
@@ -84,13 +89,53 @@ impl BsOutput {
     }
 
     fn push_want(&mut self, to: PeerId, entry: WantEntry) {
-        self.push(
-            to,
-            BitswapMessage::Wantlist {
-                entries: vec![entry],
-                full: false,
-            },
-        );
+        self.push(to, BitswapMessage::Want(entry));
+    }
+}
+
+/// The peers that registered a want for one CID: never empty, each peer at
+/// most once, in no particular order. Most CIDs have a single wanter (the
+/// neighbour whose broadcast reached us), so the first is kept inline and
+/// registering it allocates nothing.
+#[derive(Clone, Debug)]
+struct Wanters {
+    first: (PeerId, WantType),
+    more: Vec<(PeerId, WantType)>,
+}
+
+impl Wanters {
+    fn new(peer: PeerId, ty: WantType) -> Wanters {
+        Wanters {
+            first: (peer, ty),
+            more: Vec::new(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(PeerId, WantType)> {
+        std::iter::once(&self.first).chain(&self.more)
+    }
+
+    /// Register `peer`'s want, or change the type of the one it has.
+    fn set(&mut self, peer: PeerId, ty: WantType) {
+        let mut all = std::iter::once(&mut self.first).chain(&mut self.more);
+        match all.find(|(p, _)| *p == peer) {
+            Some(want) => want.1 = ty,
+            None => self.more.push((peer, ty)),
+        }
+    }
+
+    /// Drop `peer`'s want, if it has one. Returns `false` when that was the
+    /// last want: the caller removes the whole entry.
+    fn remove(&mut self, peer: &PeerId) -> bool {
+        if self.first.0 == *peer {
+            match self.more.pop() {
+                Some(next) => self.first = next,
+                None => return false,
+            }
+        } else if let Some(at) = self.more.iter().position(|(p, _)| p == peer) {
+            self.more.swap_remove(at);
+        }
+        true
     }
 }
 
@@ -100,9 +145,9 @@ pub struct Bitswap {
     sessions: HashMap<Cid, FetchSession>,
     ledgers: HashMap<PeerId, Ledger>,
     /// Other peers' registered wants for blocks we lack — the only record
-    /// of them. A bucket is never empty and names a peer at most once; it
-    /// holds one or two peers in practice, so membership is a scan.
-    wants: HashMap<Cid, Vec<(PeerId, WantType)>>,
+    /// of them. A CID holds one or two wanters in practice, so membership
+    /// is a scan.
+    wants: HashMap<Cid, Wanters>,
 }
 
 impl Bitswap {
@@ -136,8 +181,8 @@ impl Bitswap {
     /// sweep, not for the message path).
     pub fn wants_of(&self, peer: &PeerId) -> impl Iterator<Item = (Cid, WantType)> + '_ {
         let peer = *peer;
-        self.wants.iter().filter_map(move |(cid, bucket)| {
-            let (_, ty) = bucket.iter().find(|(p, _)| *p == peer)?;
+        self.wants.iter().filter_map(move |(cid, wanters)| {
+            let (_, ty) = wanters.iter().find(|(p, _)| *p == peer)?;
             Some((*cid, *ty))
         })
     }
@@ -196,10 +241,7 @@ impl Bitswap {
 
     /// Forget a disconnected peer's wants (keep its ledger).
     pub fn peer_disconnected(&mut self, peer: &PeerId) {
-        self.wants.retain(|_, bucket| {
-            bucket.retain(|(p, _)| p != peer);
-            !bucket.is_empty()
-        });
+        self.wants.retain(|_, wanters| wanters.remove(peer));
     }
 
     /// Drop a peer entirely: its wants *and* its ledger. Where
@@ -226,15 +268,18 @@ impl Bitswap {
         out
     }
 
-    /// Debugging/test oracle: panic if a want bucket is empty or names a
-    /// peer twice.
+    /// Debugging/test oracle: panic if a CID's wanters name a peer twice
+    /// (they cannot be empty: the first is inline).
     pub fn assert_wants_consistent(&self) {
-        for (cid, bucket) in &self.wants {
-            assert!(!bucket.is_empty(), "empty want bucket for {cid:?}");
-            let mut peers: Vec<PeerId> = bucket.iter().map(|(p, _)| *p).collect();
+        for (cid, wanters) in &self.wants {
+            let mut peers: Vec<PeerId> = wanters.iter().map(|(p, _)| *p).collect();
             peers.sort();
             peers.dedup();
-            assert_eq!(peers.len(), bucket.len(), "duplicate wanter of {cid:?}");
+            assert_eq!(
+                peers.len(),
+                1 + wanters.more.len(),
+                "duplicate wanter of {cid:?}"
+            );
         }
     }
 
@@ -248,8 +293,9 @@ impl Bitswap {
         store: &mut MemoryBlockstore,
     ) -> BsOutput {
         match msg {
+            BitswapMessage::Want(entry) => self.on_wantlist(from, &[entry], false, store),
             BitswapMessage::Wantlist { entries, full } => {
-                self.on_wantlist(from, entries, full, store)
+                self.on_wantlist(from, &entries, full, store)
             }
             BitswapMessage::Blocks { blocks } => self.on_blocks(now, from, blocks, store),
             // No fetch decision reads a `DontHave`: the phase timer does.
@@ -260,7 +306,7 @@ impl Bitswap {
     fn on_wantlist(
         &mut self,
         from: PeerId,
-        entries: Vec<WantEntry>,
+        entries: &[WantEntry],
         full: bool,
         store: &MemoryBlockstore,
     ) -> BsOutput {
@@ -274,10 +320,9 @@ impl Bitswap {
         let mut blocks = Vec::new();
         for e in entries {
             if e.cancel {
-                if let Entry::Occupied(mut bucket) = self.wants.entry(e.cid) {
-                    bucket.get_mut().retain(|(p, _)| *p != from);
-                    if bucket.get().is_empty() {
-                        bucket.remove();
+                if let Entry::Occupied(mut wanters) = self.wants.entry(e.cid) {
+                    if !wanters.get_mut().remove(&from) {
+                        wanters.remove();
                     }
                 }
                 continue;
@@ -294,10 +339,11 @@ impl Bitswap {
                     if e.send_dont_have {
                         dont_have.push(e.cid);
                     }
-                    let bucket = self.wants.entry(e.cid).or_default();
-                    match bucket.iter_mut().find(|(p, _)| *p == from) {
-                        Some(want) => want.1 = ty,
-                        None => bucket.push((from, ty)),
+                    match self.wants.entry(e.cid) {
+                        Entry::Occupied(mut wanters) => wanters.get_mut().set(from, ty),
+                        Entry::Vacant(slot) => {
+                            slot.insert(Wanters::new(from, ty));
+                        }
                     }
                 }
             }
@@ -346,37 +392,52 @@ impl Bitswap {
                 }
             }
             // Serve the peers that registered a want for this block, in
-            // `PeerId` order (bucket order is arrival order). The sender's
-            // own want, if any, stays registered.
-            let Some(mut bucket) = self.wants.remove(&b.cid) else {
+            // `PeerId` order (the wanters are in no order). The sender's own
+            // want, if any, stays registered.
+            let Some(Wanters { first, mut more }) = self.wants.remove(&b.cid) else {
                 continue;
             };
-            let own = bucket.iter().position(|(p, _)| *p == from);
-            let own = own.map(|at| bucket.swap_remove(at));
-            bucket.sort_by_key(|(p, _)| *p);
-            for (p, ty) in bucket.drain(..) {
-                match ty {
-                    WantType::Block => {
-                        let ledger = self.ledgers.entry(p).or_default();
-                        ledger.blocks_sent += 1;
-                        ledger.bytes_sent += b.size as u64;
-                        out.push(p, BitswapMessage::Blocks { blocks: vec![b] });
-                    }
-                    WantType::Have => out.push(
-                        p,
-                        BitswapMessage::Presence {
-                            have: vec![b.cid],
-                            dont_have: vec![],
-                        },
-                    ),
+            let own = if more.is_empty() {
+                if first.0 == from {
+                    Some(first)
+                } else {
+                    self.serve(&mut out, first, b);
+                    None
                 }
-            }
-            if let Some(want) = own {
-                bucket.push(want);
-                self.wants.insert(b.cid, bucket);
+            } else {
+                more.push(first);
+                let own = more.iter().position(|(p, _)| *p == from);
+                let own = own.map(|at| more.swap_remove(at));
+                more.sort_by_key(|(p, _)| *p);
+                for want in more.drain(..) {
+                    self.serve(&mut out, want, b);
+                }
+                own
+            };
+            if let Some(first) = own {
+                self.wants.insert(b.cid, Wanters { first, more });
             }
         }
         out
+    }
+
+    /// Answer a registered want now that block `b` is here.
+    fn serve(&mut self, out: &mut BsOutput, (peer, ty): (PeerId, WantType), b: Block) {
+        match ty {
+            WantType::Block => {
+                let ledger = self.ledgers.entry(peer).or_default();
+                ledger.blocks_sent += 1;
+                ledger.bytes_sent += b.size as u64;
+                out.push(peer, BitswapMessage::Blocks { blocks: vec![b] });
+            }
+            WantType::Have => out.push(
+                peer,
+                BitswapMessage::Presence {
+                    have: vec![b.cid],
+                    dont_have: vec![],
+                },
+            ),
+        }
     }
 
     fn on_presence(&mut self, from: PeerId, have: Vec<Cid>) -> BsOutput {
@@ -558,10 +619,8 @@ mod tests {
             "second delivery must not re-complete"
         );
         // Cancel sent to the other asked peer.
-        assert!(out1.sends.iter().any(|(p, m)| {
-            *p == peer(3)
-                && matches!(m, BitswapMessage::Wantlist { entries, .. } if entries[0].cancel)
-        }));
+        let cancel = BitswapMessage::Want(WantEntry::cancel(c));
+        assert_eq!(out1.sends, vec![(peer(3), cancel)]);
     }
 
     #[test]
@@ -580,10 +639,7 @@ mod tests {
             dont_have: vec![],
         };
         let out = a.handle_message(SimTime::ZERO, peer(3), have, &mut store_a);
-        let want_block = BitswapMessage::Wantlist {
-            entries: vec![WantEntry::block(c)],
-            full: false,
-        };
+        let want_block = BitswapMessage::Want(WantEntry::block(c));
         assert_eq!(out.sends, vec![(peer(3), want_block)]);
         let s = a.session(&c).unwrap();
         let mut sorted = vec![peer(2), peer(3), peer(4)];
@@ -631,10 +687,7 @@ mod tests {
             dont_have: vec![],
         };
         let out1 = a.handle_message(SimTime::ZERO, peer(3), have.clone(), &mut store_a);
-        let want_block = BitswapMessage::Wantlist {
-            entries: vec![WantEntry::block(c)],
-            full: false,
-        };
+        let want_block = BitswapMessage::Want(WantEntry::block(c));
         assert_eq!(
             out1.sends,
             vec![(peer(3), want_block)],
@@ -670,17 +723,22 @@ mod tests {
             );
             a.assert_wants_consistent();
         }
-        // Cancel one of two wanters of c1.
-        a.handle_message(
-            SimTime::ZERO,
-            peer(2),
-            BitswapMessage::Wantlist {
-                entries: vec![WantEntry::cancel(c1)],
-                full: false,
-            },
-            &mut store,
-        );
+        let probe = BitswapMessage::Want(WantEntry::have(c1));
+        a.handle_message(SimTime::ZERO, peer(4), probe, &mut store);
         a.assert_wants_consistent();
+        // Cancel the first of three wanters of c1 (the inline one).
+        let cancel = BitswapMessage::Want(WantEntry::cancel(c1));
+        a.handle_message(SimTime::ZERO, peer(2), cancel, &mut store);
+        a.assert_wants_consistent();
+        assert!(a.wants_of(&peer(2)).all(|(c, _)| c != c1));
+        assert_eq!(
+            a.wants_of(&peer(3)).collect::<Vec<_>>(),
+            vec![(c1, WantType::Block)]
+        );
+        assert_eq!(
+            a.wants_of(&peer(4)).collect::<Vec<_>>(),
+            vec![(c1, WantType::Have)]
+        );
         // Cancelling an unregistered want is a no-op.
         a.handle_message(
             SimTime::ZERO,
@@ -707,7 +765,14 @@ mod tests {
             .filter(|(_, m)| matches!(m, BitswapMessage::Blocks { .. }))
             .map(|(p, _)| *p)
             .collect();
-        assert_eq!(served, vec![peer(3)], "only the live wanter is served");
+        assert_eq!(served, vec![peer(3)], "only the live wanters are served");
+        let told: Vec<PeerId> = out
+            .sends
+            .iter()
+            .filter(|(_, m)| matches!(m, BitswapMessage::Presence { .. }))
+            .map(|(p, _)| *p)
+            .collect();
+        assert_eq!(told, vec![peer(4)]);
         a.assert_wants_consistent();
         // Full-replace and disconnect purge through the same table.
         a.handle_message(

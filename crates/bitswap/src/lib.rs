@@ -8,12 +8,15 @@
 //!
 //! The engine keeps three things and nothing mirrored between them: its own
 //! fetch sessions (each with the sorted list of peers it owes a `Cancel`),
-//! one want table `Cid → [(peer, want type)]` for what *other* peers asked
-//! of it and it could not serve yet, and a [`Ledger`] — four block/byte
-//! counters — per peer a block was actually exchanged with. A `WantHave`
-//! for a missing block and the `Cancel` that follows it, which is most of
-//! what a fetch's broadcast costs every neighbour, touch the want table
-//! only.
+//! one want table `Cid → wanters` for what *other* peers asked of it and it
+//! could not serve yet (the first wanter inline, further ones in a `Vec`),
+//! and a [`Ledger`] — four block/byte counters — per peer a block was
+//! actually exchanged with. It sends every want, block request and cancel
+//! as a one-entry [`BitswapMessage::Want`] frame; it accepts multi-entry
+//! [`BitswapMessage::Wantlist`]s too. A `WantHave` for a missing block and
+//! the `Cancel` that follows it, which is most of what a fetch's broadcast
+//! costs every neighbour, touch the want table only and allocate nothing
+//! on either side.
 
 #![forbid(unsafe_code)]
 

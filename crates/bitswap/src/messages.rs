@@ -1,14 +1,19 @@
 //! Bitswap wire messages.
 //!
 //! The subset of the Bitswap 1.2 protocol the paper's monitoring relies on:
-//! wantlists (`WantHave` / `WantBlock`, with cancel and `send_dont_have`
-//! flags), block transfers, and block-presence responses. The local 1-hop
-//! broadcast of `WantHave` entries to all connected neighbours is the
-//! traffic the monitoring nodes log (§3 "Bitswap logs"). That broadcast is
-//! opportunistic: it does not ask for `DontHave`, so a neighbour lacking
-//! the block stays silent and the fetcher falls through to the DHT on a
-//! timer (Trautwein et al., "Design and Evaluation of IPFS"). Only a
-//! targeted `WantBlock` asks for a negative answer.
+//! wantlist entries (`WantHave` / `WantBlock`, with cancel and
+//! `send_dont_have` flags), block transfers, and block-presence responses.
+//! A wantlist travels in one of two framings: [`BitswapMessage::Want`], the
+//! single entry the engine sends and which carries no heap allocation, or
+//! [`BitswapMessage::Wantlist`], a list of entries that may replace the
+//! peer's whole view. A receiver treats both the same, entry by entry.
+//!
+//! The local 1-hop broadcast of `WantHave` entries to all connected
+//! neighbours is the traffic the monitoring nodes log (§3 "Bitswap logs").
+//! That broadcast is opportunistic: it does not ask for `DontHave`, so a
+//! neighbour lacking the block stays silent and the fetcher falls through
+//! to the DHT on a timer (Trautwein et al., "Design and Evaluation of
+//! IPFS"). Only a targeted `WantBlock` asks for a negative answer.
 
 use ipfs_types::Cid;
 
@@ -82,7 +87,11 @@ impl WantEntry {
 /// A Bitswap message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BitswapMessage {
-    /// Wantlist update (the only broadcast message).
+    /// One wantlist entry — a broadcast `WantHave`, a targeted `WantBlock`
+    /// or a `Cancel`. The only wantlist framing the engine sends.
+    Want(WantEntry),
+    /// Wantlist update: any number of entries, optionally replacing the
+    /// peer's whole view. The engine accepts it and never sends it.
     Wantlist {
         /// Entries (adds and cancels).
         entries: Vec<WantEntry>,
@@ -104,18 +113,14 @@ pub enum BitswapMessage {
 }
 
 impl BitswapMessage {
-    /// CIDs referenced by this message (for monitor logging).
-    pub fn cids(&self) -> Vec<Cid> {
+    /// The wantlist entries this message carries, cancels included: one
+    /// for [`BitswapMessage::Want`], the list for
+    /// [`BitswapMessage::Wantlist`], none for blocks and presences.
+    pub fn want_entries(&self) -> &[WantEntry] {
         match self {
-            BitswapMessage::Wantlist { entries, .. } => entries
-                .iter()
-                .filter(|e| !e.cancel)
-                .map(|e| e.cid)
-                .collect(),
-            BitswapMessage::Blocks { blocks } => blocks.iter().map(|b| b.cid).collect(),
-            BitswapMessage::Presence { have, dont_have } => {
-                have.iter().chain(dont_have.iter()).copied().collect()
-            }
+            BitswapMessage::Want(entry) => std::slice::from_ref(entry),
+            BitswapMessage::Wantlist { entries, .. } => entries,
+            BitswapMessage::Blocks { .. } | BitswapMessage::Presence { .. } => &[],
         }
     }
 }
@@ -136,12 +141,24 @@ mod tests {
     }
 
     #[test]
-    fn message_cids_skip_cancels() {
+    fn want_entries_of_each_framing() {
         let (a, b) = (Cid::from_seed(1), Cid::from_seed(2));
+        let list = vec![WantEntry::have(a), WantEntry::cancel(b)];
         let m = BitswapMessage::Wantlist {
-            entries: vec![WantEntry::have(a), WantEntry::cancel(b)],
+            entries: list.clone(),
             full: false,
         };
-        assert_eq!(m.cids(), vec![a]);
+        assert_eq!(m.want_entries(), &list[..]);
+        let m = BitswapMessage::Want(WantEntry::cancel(b));
+        assert_eq!(m.want_entries(), &[WantEntry::cancel(b)]);
+        let m = BitswapMessage::Blocks {
+            blocks: vec![Block { cid: a, size: 1 }],
+        };
+        assert!(m.want_entries().is_empty());
+        let m = BitswapMessage::Presence {
+            have: vec![a],
+            dont_have: vec![b],
+        };
+        assert!(m.want_entries().is_empty());
     }
 }

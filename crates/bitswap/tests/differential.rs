@@ -35,12 +35,7 @@ mod reference {
     }
 
     fn want(out: &mut BsOutput, to: PeerId, entry: WantEntry) {
-        let entries = vec![entry];
-        let msg = BitswapMessage::Wantlist {
-            entries,
-            full: false,
-        };
-        out.sends.push((to, msg));
+        out.sends.push((to, BitswapMessage::Want(entry)));
     }
 
     fn sorted(asked: &HashSet<PeerId>) -> Vec<PeerId> {
@@ -129,6 +124,7 @@ mod reference {
             store: &mut MemoryBlockstore,
         ) -> BsOutput {
             match msg {
+                BitswapMessage::Want(entry) => self.on_wantlist(from, vec![entry], false, store),
                 BitswapMessage::Wantlist { entries, full } => {
                     self.on_wantlist(from, entries, full, store)
                 }
@@ -290,9 +286,17 @@ proptest! {
             let bits = &mut bits;
             let cid = cids[take2(bits)];
             let message = match op {
-                // Wantlist: 1–3 entries, each add or cancel, Have or Block;
-                // one in eight replaces the sender's whole list.
-                0..=5 => Some(BitswapMessage::Wantlist {
+                // One entry, add or cancel, Have or Block, in the frame the
+                // engine sends.
+                0..=2 => Some(BitswapMessage::Want(WantEntry {
+                    cid: cids[take2(bits)],
+                    ty: [WantType::Have, WantType::Block][take2(bits) % 2],
+                    cancel: take2(bits) == 0,
+                    send_dont_have: take2(bits) != 0,
+                })),
+                // Wantlist: 1–3 entries, each as above; one in eight
+                // replaces the sender's whole list.
+                3..=5 => Some(BitswapMessage::Wantlist {
                     entries: (0..1 + take2(bits) % 3)
                         .map(|_| WantEntry {
                             cid: cids[take2(bits)],

@@ -64,16 +64,19 @@ impl IpfsNode {
     }
 
     /// An endpoint that identified as `id` closed, restarted its handshake
-    /// or identified as someone else (`peers` already says so).
-    fn neighbor_lost(&mut self, id: PeerId) {
+    /// or identified as someone else (`peers` already says so). Returns
+    /// whether another connection is still identified as `id`.
+    fn neighbor_lost(&mut self, id: PeerId) -> bool {
         if let Some(list) = &mut self.session.neighbors {
             let at = list.partition_point(|n| *n < id);
             debug_assert_eq!(list.get(at), Some(&id));
             list.remove(at);
         }
-        if !self.is_identified(&id) {
+        let identified = self.is_identified(&id);
+        if !identified {
             self.dht.table_mut().set_connected(&id, false);
         }
+        identified
     }
 
     /// The table just created an entry for `id` (`created`, as reported by
@@ -290,9 +293,18 @@ impl IpfsNode {
         peer: NodeId,
     ) {
         if let Some(id) = self.session.peers.remove(&peer).flatten() {
-            self.neighbor_lost(id);
-            self.session.conn_by_peer.remove(&id);
-            self.session.bitswap.peer_disconnected(&id);
+            let twin_survives = self.neighbor_lost(id);
+            let s = &mut self.session;
+            if !twin_survives {
+                s.conn_by_peer.remove(&id);
+                s.bitswap.peer_disconnected(&id);
+            } else if s.conn_by_peer.get(&id) == Some(&peer) {
+                // Another endpoint is still identified as `id`: lead to
+                // the lowest such one, so sends to `id` still go out.
+                let twins = s.peers.iter().filter(|(_, p)| **p == Some(id));
+                let twin = twins.map(|(ep, _)| *ep).min().expect("identified");
+                s.conn_by_peer.insert(id, twin);
+            }
         }
         self.session.relay_clients.remove(&peer);
         if self.session.relay.is_some_and(|(_, ep, _)| ep == peer) {

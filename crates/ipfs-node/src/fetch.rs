@@ -247,12 +247,7 @@ impl IpfsNode {
         peer: PeerId,
         msg: &BitswapMessage,
     ) {
-        let BitswapMessage::Wantlist { entries, .. } = msg else {
-            return;
-        };
-        let addr = ctx
-            .addr_of(from)
-            .unwrap_or_else(|| SocketAddrV4::new([0, 0, 0, 0].into(), 0));
+        let entries = msg.want_entries();
         let want_block = entries.iter().any(|e| !e.cancel && e.ty == WantType::Block);
         let cids: Vec<Cid> = entries
             .iter()
@@ -260,6 +255,9 @@ impl IpfsNode {
             .map(|e| e.cid)
             .collect();
         if !cids.is_empty() {
+            let addr = ctx
+                .addr_of(from)
+                .unwrap_or_else(|| SocketAddrV4::new([0, 0, 0, 0].into(), 0));
             self.bitswap_log.push(BitswapLogEntry {
                 ts: ctx.now(),
                 peer,

@@ -178,3 +178,18 @@ pub enum NodeEvent {
         cache_hit: bool,
     },
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn bitswap_frames_do_not_grow_the_wire_message() {
+        // Every queued event carries a `WireMsg` by value, and the DHT
+        // message is its largest payload: a Bitswap framing that outgrew
+        // it would make every event of every workload larger.
+        assert_eq!(size_of::<WireMsg>(), size_of::<DhtMessage>());
+        assert!(size_of::<BitswapMessage>() <= size_of::<DhtMessage>());
+    }
+}

@@ -612,9 +612,7 @@ impl Lacking {
         let WireMsg::Bitswap { from: peer, msg } = m else {
             return;
         };
-        if let BitswapMessage::Wantlist { entries, .. } = &msg {
-            self.got.extend(entries);
-        }
+        self.got.extend(msg.want_entries());
         let out = self
             .engine
             .handle_message(ctx.now(), peer, msg, &mut self.store);
@@ -799,25 +797,30 @@ fn hydra_endpoint_speaking_as_several_heads_flags_only_the_identified_one() {
 
 #[test]
 fn one_id_on_several_endpoints_stays_flagged_until_the_last_one_closes() {
-    let mut st = Stage::new(3, |_| {});
+    let mut st = Stage::new(0, |_| {});
     let id = PeerId::from_seed(100);
-    for p in 1..=3 {
-        st.identify(NodeId(p), id);
-        assert_eq!(st.flag(id), Some(true));
-    }
-    // Closing in identify order drops `conn_by_peer`'s pointer first.
-    st.tell(NodeId(3), Script::HangUp(NODE));
+    let eps: Vec<NodeId> = (0..3)
+        .map(|_| {
+            let ep = st.add_lacking(id);
+            assert_eq!(st.flag(id), Some(true));
+            ep
+        })
+        .collect();
+    // Closing the last-identified endpoint closes the one `conn_by_peer`
+    // leads to.
+    st.tell(eps[2], Script::HangUp(NODE));
     assert_eq!(st.flag(id), Some(true));
-    st.tell(NodeId(1), Script::HangUp(NODE));
+    st.tell(eps[0], Script::HangUp(NODE));
     assert_eq!(st.flag(id), Some(true));
-    // A fetch builds the neighbour list mid-session (one twin left).
-    st.tell(
-        NODE,
-        Script::Node(NodeCmd::Fetch {
-            cid: Cid::from_seed(1),
-        }),
-    );
-    st.tell(NodeId(2), Script::HangUp(NODE));
+    // A fetch builds the neighbour list mid-session (one twin left), and
+    // its `WantHave` reaches that twin.
+    let cid = Cid::from_seed(1);
+    st.tell(NODE, Script::Node(NodeCmd::Fetch { cid }));
+    assert_eq!(st.bitswap_tally(&eps[1..2]), (1, 0, 0));
+    let me = st.node().peer_id();
+    let wants: Vec<_> = st.lacking(eps[1]).engine.wants_of(&me).collect();
+    assert_eq!(wants, vec![(cid, WantType::Have)]);
+    st.tell(eps[1], Script::HangUp(NODE));
     assert_eq!(st.flag(id), Some(false));
 }
 
