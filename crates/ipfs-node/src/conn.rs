@@ -37,42 +37,57 @@ pub(crate) enum PostDial {
     },
 }
 
+/// The connections behind one peer id (`Session::conn_by_peer`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PeerConns {
+    /// Where sends to the id go: while `identified > 0`, an endpoint
+    /// identified as it.
+    pub(crate) ep: NodeId,
+    /// How many connections are identified as the id.
+    pub(crate) identified: u32,
+}
+
 impl IpfsNode {
     /// Whether some connection is identified as `id` — the definition of
     /// the routing table's `connected` column.
     fn is_identified(&self, id: &PeerId) -> bool {
-        let s = &self.session;
-        if s.twin_ids {
-            return s.peers.values().any(|p| *p == Some(*id));
-        }
-        s.conn_by_peer
+        self.session
+            .conn_by_peer
             .get(id)
-            .is_some_and(|ep| s.peers.get(ep) == Some(&Some(*id)))
+            .is_some_and(|c| c.identified > 0)
     }
 
-    /// Endpoint `ep` now identifies as `id` (`peers` already says so, the
-    /// caller flags the table entry); `conn_by_peer` led from `id` to
-    /// `prev_ep` until just now.
-    fn neighbor_gained(&mut self, ep: NodeId, id: PeerId, prev_ep: Option<NodeId>) {
-        let s = &mut self.session;
-        s.twin_ids |=
-            prev_ep.is_some_and(|prev| prev != ep && s.peers.get(&prev) == Some(&Some(id)));
-        if let Some(list) = &mut s.neighbors {
+    /// An endpoint now identifies as `id` (`peers` and `conn_by_peer`
+    /// already say so, the caller flags the table entry).
+    fn neighbor_gained(&mut self, id: PeerId) {
+        if let Some(list) = &mut self.session.neighbors {
             let at = list.partition_point(|n| *n < id);
             list.insert(at, id);
         }
     }
 
-    /// An endpoint that identified as `id` closed, restarted its handshake
-    /// or identified as someone else (`peers` already says so). Returns
-    /// whether another connection is still identified as `id`.
-    fn neighbor_lost(&mut self, id: PeerId) -> bool {
-        if let Some(list) = &mut self.session.neighbors {
+    /// Endpoint `ep`, identified as `id`, closed, restarted its handshake
+    /// or identified as someone else (`peers` already says so). If sends
+    /// to `id` went to `ep` and another endpoint is still identified as
+    /// `id`, they now go to the lowest such one. Returns whether one is
+    /// left.
+    fn neighbor_lost(&mut self, ep: NodeId, id: PeerId) -> bool {
+        let s = &mut self.session;
+        if let Some(list) = &mut s.neighbors {
             let at = list.partition_point(|n| *n < id);
             debug_assert_eq!(list.get(at), Some(&id));
             list.remove(at);
         }
-        let identified = self.is_identified(&id);
+        let conns = s
+            .conn_by_peer
+            .get_mut(&id)
+            .expect("identified ids have an entry");
+        conns.identified -= 1;
+        let identified = conns.identified > 0;
+        if identified && conns.ep == ep {
+            let twins = s.peers.iter().filter(|(_, p)| **p == Some(id));
+            conns.ep = twins.map(|(twin, _)| *twin).min().expect("identified");
+        }
         if !identified {
             self.dht.table_mut().set_connected(&id, false);
         }
@@ -92,8 +107,24 @@ impl IpfsNode {
     /// every entry.
     #[cfg(any(test, debug_assertions))]
     pub fn assert_connected_flags(&self) {
+        let s = &self.session;
+        let mut identified = ipfs_types::FxHashMap::<PeerId, u32>::default();
+        for id in s.peers.values().flatten() {
+            *identified.entry(*id).or_default() += 1;
+        }
+        for id in identified.keys() {
+            assert!(s.conn_by_peer.contains_key(id), "no sends to {id:?}");
+        }
+        for (id, c) in &s.conn_by_peer {
+            let n = identified.get(id).copied().unwrap_or(0);
+            assert_eq!(c.identified, n, "identified count of {id:?} out of sync");
+            assert!(
+                n == 0 || s.peers.get(&c.ep) == Some(&Some(*id)),
+                "sends to {id:?} go to an endpoint not identified as it"
+            );
+        }
         for e in self.dht.table().entries() {
-            let truth = self.session.peers.values().any(|p| *p == Some(e.info.id));
+            let truth = identified.contains_key(&e.info.id);
             assert_eq!(
                 e.connected, truth,
                 "connected flag of {:?} out of sync at {:?}",
@@ -163,7 +194,7 @@ impl IpfsNode {
         _relayed: bool,
     ) {
         if let Some(id) = self.session.peers.insert(from, None).flatten() {
-            self.neighbor_lost(id);
+            self.neighbor_lost(from, id);
         }
         self.send_identify(ctx, from);
     }
@@ -205,7 +236,11 @@ impl IpfsNode {
             PostDial::RequestBlock { cid, peer } => {
                 // Identify may still be in flight; bind the peer to the
                 // endpoint we just dialed so the request can go out now.
-                self.session.conn_by_peer.entry(peer).or_insert(target);
+                let conns = PeerConns {
+                    ep: target,
+                    identified: 0,
+                };
+                self.session.conn_by_peer.entry(peer).or_insert(conns);
                 let out = self
                     .session
                     .bitswap
@@ -269,18 +304,24 @@ impl IpfsNode {
         dht_server: bool,
     ) {
         let old_id = self.session.peers.insert(from, Some(id)).flatten();
-        let prev_ep = self.session.conn_by_peer.insert(id, from);
+        let gained = old_id != Some(id);
+        let conns = self.session.conn_by_peer.entry(id).or_insert(PeerConns {
+            ep: from,
+            identified: 0,
+        });
+        conns.ep = from;
+        conns.identified += gained as u32;
         let info = PeerInfo {
             id,
             addrs,
             endpoint: from,
         };
         self.dht.observe_peer(&info, dht_server, now);
-        if old_id != Some(id) {
+        if gained {
             if let Some(old_id) = old_id {
-                self.neighbor_lost(old_id);
+                self.neighbor_lost(from, old_id);
             }
-            self.neighbor_gained(from, id, prev_ep);
+            self.neighbor_gained(id);
         }
         // After the table saw the peer: a fresh entry starts unflagged.
         self.dht.table_mut().set_connected(&id, true);
@@ -293,17 +334,9 @@ impl IpfsNode {
         peer: NodeId,
     ) {
         if let Some(id) = self.session.peers.remove(&peer).flatten() {
-            let twin_survives = self.neighbor_lost(id);
-            let s = &mut self.session;
-            if !twin_survives {
-                s.conn_by_peer.remove(&id);
-                s.bitswap.peer_disconnected(&id);
-            } else if s.conn_by_peer.get(&id) == Some(&peer) {
-                // Another endpoint is still identified as `id`: lead to
-                // the lowest such one, so sends to `id` still go out.
-                let twins = s.peers.iter().filter(|(_, p)| **p == Some(id));
-                let twin = twins.map(|(ep, _)| *ep).min().expect("identified");
-                s.conn_by_peer.insert(id, twin);
+            if !self.neighbor_lost(peer, id) {
+                self.session.conn_by_peer.remove(&id);
+                self.session.bitswap.peer_disconnected(&id);
             }
         }
         self.session.relay_clients.remove(&peer);

@@ -271,8 +271,8 @@ impl IpfsNode {
     #[inline]
     pub(crate) fn flush_bitswap<C: Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, out: BsOutput) {
         for (peer, msg) in out.sends {
-            if let Some(&ep) = self.session.conn_by_peer.get(&peer) {
-                ctx.send(ep, WireMsg::Bitswap { from: self.id, msg });
+            if let Some(c) = self.session.conn_by_peer.get(&peer) {
+                ctx.send(c.ep, WireMsg::Bitswap { from: self.id, msg });
             }
         }
         for (cid, from) in out.received {

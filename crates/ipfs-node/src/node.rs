@@ -11,7 +11,7 @@
 //! route to is one `impl IpfsNode` block per service in `conn`, `dht` and
 //! `fetch`.
 
-use crate::conn::PostDial;
+use crate::conn::{PeerConns, PostDial};
 use crate::dht::{Op, PendingRpc};
 use crate::wire::{BitswapLogEntry, NodeCmd, NodeEvent, WireMsg};
 use bitswap::{Bitswap, Block, MemoryBlockstore};
@@ -140,11 +140,10 @@ pub(crate) struct Session {
     /// monitor and its thousands of connections above all) pays nothing
     /// for a list only fetches read.
     pub(crate) neighbors: Option<Vec<PeerId>>,
-    pub(crate) conn_by_peer: HashMap<PeerId, NodeId>,
-    /// Two live endpoints identified as one id at some point this session.
-    /// Until that happens `conn_by_peer` leads from an identified id to
-    /// its one endpoint; afterwards `is_identified` has to scan.
-    pub(crate) twin_ids: bool,
+    /// Where sends to a peer id go, and how many connections are
+    /// identified as it. Every identified id has an entry; it is dropped
+    /// when the id's last connection closes.
+    pub(crate) conn_by_peer: HashMap<PeerId, PeerConns>,
     pub(crate) dialing: HashMap<NodeId, Vec<PostDial>>,
     pub(crate) pending: HashMap<u64, PendingRpc>,
     pub(crate) ops: HashMap<u64, Op>,

@@ -824,6 +824,27 @@ fn one_id_on_several_endpoints_stays_flagged_until_the_last_one_closes() {
     assert_eq!(st.flag(id), Some(false));
 }
 
+#[test]
+fn twin_that_reidentifies_hands_the_old_id_to_the_surviving_twin() {
+    let mut st = Stage::new(0, |_| {});
+    let (x, y) = (PeerId::from_seed(100), PeerId::from_seed(101));
+    let e1 = st.add_lacking(x);
+    let e2 = st.add_lacking(x);
+    // `e2`, the endpoint `x`'s sends lead to, now speaks as `y`: sends to
+    // `x` must go to `e1`, the one still identified as it.
+    st.identify(e2, y);
+    assert_eq!(st.flag(x), Some(true));
+    assert_eq!(st.flag(y), Some(true));
+    st.tell(
+        NODE,
+        Script::Node(NodeCmd::Fetch {
+            cid: Cid::from_seed(1),
+        }),
+    );
+    assert_eq!(st.bitswap_tally(&[e1]), (1, 0, 0), "x's want");
+    assert_eq!(st.bitswap_tally(&[e2]), (1, 0, 0), "y's want");
+}
+
 /// `n` peer ids whose first key bit differs from node 0's: they all
 /// compete for bucket 0.
 fn far_seeds(n: usize) -> Vec<PeerId> {

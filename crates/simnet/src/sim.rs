@@ -424,7 +424,10 @@ impl<A: Actor> Sim<A> {
     }
 
     /// Run until virtual time `t` (inclusive of events at `t`); afterwards
-    /// `now() == t` even if the queue drained early.
+    /// `now() == t` even if the queue drained early. One shard steps its
+    /// queue in place; several run the two-barrier epoch loop of
+    /// `crate::shard`, one scoped worker per shard, and leave every
+    /// cross-shard mailbox drained.
     pub fn run_until(&mut self, t: SimTime) {
         let max_events = self.shards[0].core.cfg.max_events;
         if self.shards.len() == 1 {
@@ -445,7 +448,7 @@ impl<A: Actor> Sim<A> {
             // Failed dials report at `started + dial_timeout`, pushed from
             // the far end after up to two link latencies — conservative
             // sync needs that report to still clear the *widest* channel
-            // lookahead in the pushing shard's future. A debug_assert in
+            // lookahead in the pushing shard's future. An assert in
             // `route` guards each push; this guards the configuration itself
             // so release builds cannot silently break the shard-invariance
             // contract.

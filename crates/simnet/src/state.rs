@@ -495,7 +495,7 @@ impl<M, C> SimCore<M, C> {
         if dst == self.shard {
             self.enqueue_local(at, key, ev);
         } else {
-            debug_assert!(
+            assert!(
                 self.lookahead_to.is_empty() || at >= self.now + self.lookahead_to[dst as usize],
                 "cross-shard event violates the channel lookahead bound \
                  (at {at:?}, now {:?}, lookahead[->{dst}] {:?})",

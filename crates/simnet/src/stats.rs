@@ -151,8 +151,8 @@ impl StateBytes {
 pub struct SyncCounters {
     /// Epochs this shard processed (phase-2 entries).
     pub epochs: u64,
-    /// Barrier rendezvous this shard entered (3 per full epoch, 2 on the
-    /// terminating iteration).
+    /// Barrier rendezvous this shard entered (2 per full epoch, 1 on the
+    /// terminating iteration of each `run_until`).
     pub barrier_waits: u64,
     /// Cross-shard events this shard flushed into mailboxes.
     pub mailbox_events_out: u64,

@@ -264,6 +264,27 @@ fn shard_counts_agree_with_faults_and_relays() {
     assert_eq!(one, run(7, 0xBEEF, true, 5), "7 shards ≠ 1 shard");
 }
 
+/// The executor's sync accounting: each `run_until` is some epochs of two
+/// barriers each plus one terminating barrier, on every shard.
+#[test]
+fn every_epoch_costs_two_barriers_and_every_run_one_more() {
+    const RUNS: u64 = 4;
+    let mut s = populate(3, 0xD15EA5E, 5, None);
+    for k in 1..=RUNS {
+        s.run_for(Dur::from_mins(20 * k));
+    }
+    for l in s.shard_loads() {
+        assert!(l.sync.epochs > 100, "shard {} ran {:?}", l.shard, l.sync);
+        assert_eq!(
+            l.sync.barrier_waits,
+            2 * l.sync.epochs + RUNS,
+            "shard {}: {:?}",
+            l.shard,
+            l.sync
+        );
+    }
+}
+
 /// Endless ping-pong between two nodes: one event per link latency.
 struct Pong;
 

@@ -16,13 +16,16 @@ use std::time::Instant;
 pub const SAMPLE_CAP: usize = 1 << 16;
 
 /// One epoch of one shard, in wall-clock micros relative to the first
-/// sample anchor.
+/// sample anchor. An epoch starts at the drain of the shard's inbound
+/// mailboxes and ends after the barrier that follows its processing
+/// phase, so it spans both of its barrier waits.
 #[derive(Clone, Debug)]
 pub struct EpochSample {
     pub shard: u16,
-    /// Epoch start, µs since anchor.
+    /// Epoch start (the mailbox drain), µs since anchor.
     pub t0_us: u64,
-    /// Whole-epoch wall duration, µs (includes barrier waits).
+    /// Whole-epoch wall duration, µs (includes the drain and both barrier
+    /// waits).
     pub total_us: u64,
     /// Offset of the processing phase inside the epoch, µs.
     pub work_start_us: u64,
@@ -34,7 +37,7 @@ pub struct EpochSample {
     pub mailbox_events: u64,
     /// Bytes of those messages (count × event size).
     pub mailbox_bytes: u64,
-    /// Local queue depth at the end of the epoch.
+    /// Local queue depth at the end of the epoch, before the next drain.
     pub queue_len: u64,
 }
 
