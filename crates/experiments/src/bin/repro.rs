@@ -10,12 +10,13 @@
 //! ```
 //!
 //! The sections, their order and each campaign group's seed derivation
-//! live in `experiments::ARTEFACTS` and `experiments::Group`: `repro
-//! <section>` runs the owning group and prints that one section, which is
-//! by construction what `repro all` prints for it. The three plain-text
-//! artefacts render a campaign's raw data for the CI expectation diffs;
-//! `telemetry` and `workload-replay` share their names with `all` sections
-//! of the same campaigns, and on the command line name the plain text.
+//! live in `experiments::ARTEFACTS` and `experiments::Group`:
+//! `repro <section>` runs the owning group and prints that one section,
+//! which is by construction what `repro all` prints for it. The three
+//! plain-text artefacts render a campaign's raw data for the CI expectation
+//! diffs; `telemetry` and `workload-replay` share their names with `all`
+//! sections of the same campaigns, and on the command line name the plain
+//! text.
 
 //! With `--telemetry` every run also records the flight recorder and the
 //! per-shard epoch profiler; `--flight-out` / `--profile-out` write them

@@ -1,15 +1,18 @@
-//! DHT glue: request plumbing around the sans-io [`kademlia::Dht`], the
-//! lookup driver (`begin_lookup` → `drive_lookup` → `finish_lookup`, which
-//! hands the result to the [`Op`] that asked for it), bootstrap, and
-//! provide / reprovide / bucket refresh. `handle_dht` is `#[inline]` for
-//! the message router in `node`, which sits in another codegen unit.
+//! DHT glue: request plumbing around the sans-io [`kademlia::Dht`] (the
+//! serving half: table, provider store, request handling), the node's walks
+//! and their driver (`begin_lookup` → `drive_lookup` → `finish_lookup`,
+//! which records the walk's telemetry and hands its result to the [`Op`]
+//! that asked for it), bootstrap, and provide / reprovide / bucket refresh.
+//! Every walk is a [`Walk`] in the session's one map, so a restart drops
+//! walks with the rest of the session. `handle_dht` is `#[inline]` for the
+//! message router in `node`, which sits in another codegen unit.
 
 use crate::conn::PostDial;
 use crate::node::{tok, IpfsNode};
 use crate::wire::{NodeEvent, WireMsg};
 use ipfs_types::{Cid, Key256, PeerId};
 use kademlia::{
-    no_addrs, DhtBody, DhtMessage, DhtRequest, DhtResponse, LookupKind, LookupResult, PeerInfo,
+    no_addrs, DhtBody, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupKind, PeerInfo,
     ProviderRecord,
 };
 use rand::RngExt;
@@ -23,6 +26,18 @@ const RPC_TIMEOUT: Dur = Dur::from_secs(10);
 pub(crate) struct PendingRpc {
     pub(crate) peer: PeerInfo,
     pub(crate) lookup: u64,
+}
+
+/// One DHT walk in flight: the iterative lookup, who gets its result, and
+/// when it began.
+#[derive(Clone, Debug)]
+pub(crate) struct Walk {
+    pub(crate) lookup: Lookup,
+    /// The [`Op`] the result goes to; `None` for a maintenance walk
+    /// (bootstrap, refresh), run for its effect on the routing table.
+    pub(crate) op: Option<u64>,
+    /// Virtual start time: the latency histogram's and flight span's start.
+    pub(crate) started: SimTime,
 }
 
 /// What a lookup (or, for `Fetch`, a whole retrieval) was started for.
@@ -68,13 +83,13 @@ impl IpfsNode {
         lookup: u64,
         info: &PeerInfo,
     ) {
-        let Some((target, cid, kind)) = self.dht.lookup_meta(lookup) else {
+        let Some(Walk { lookup: l, .. }) = self.session.walks.get(&lookup) else {
             return;
         };
-        let req = match kind {
-            LookupKind::GetClosestPeers => DhtRequest::FindNode { target },
+        let req = match l.kind() {
+            LookupKind::GetClosestPeers => DhtRequest::FindNode { target: l.target },
             LookupKind::FindProviders { .. } => DhtRequest::GetProviders {
-                cid: cid.expect("provider lookup carries cid"),
+                cid: l.cid.expect("provider lookup carries cid"),
             },
         };
         let msg = self.dht_request_msg(ctx, req);
@@ -90,14 +105,18 @@ impl IpfsNode {
         }
     }
 
-    /// `peer` could not be reached or did not answer: the walk moves on.
+    /// `peer` could not be reached or did not answer: it leaves the routing
+    /// table, and the walk moves on.
     pub(crate) fn lookup_peer_failed<C: Debug>(
         &mut self,
         ctx: &mut Ctx<'_, WireMsg, C>,
         lookup: u64,
         peer: &PeerId,
     ) {
-        self.dht.lookup_failure(lookup, peer);
+        self.dht.table_mut().remove(peer);
+        if let Some(walk) = self.session.walks.get_mut(&lookup) {
+            walk.lookup.on_failure(peer);
+        }
         self.drive_lookup(ctx, lookup);
     }
 
@@ -113,41 +132,49 @@ impl IpfsNode {
         kind: LookupKind,
         op: Option<u64>,
     ) {
-        let lookup = self.dht.start_lookup(target, cid, kind);
-        if let Some(op_id) = op {
-            self.session.lookup_to_op.insert(lookup, op_id);
-        }
-        // The latency histogram's start time; the map stays empty (and the
-        // hot path free) while telemetry is off.
-        if telemetry::enabled() {
-            self.session.lookup_started.insert(lookup, ctx.now());
-        }
+        let walk = Walk {
+            lookup: self.dht.start_lookup(target, cid, kind),
+            op,
+            started: ctx.now(),
+        };
+        let lookup = self.session.next_walk;
+        self.session.next_walk += 1;
+        self.session.walks.insert(lookup, walk);
         self.drive_lookup(ctx, lookup);
     }
 
+    /// Send the walk's next queries; a walk that is done leaves the map and
+    /// finishes. A dial may fail at once and drive the same walk to its end
+    /// from inside this loop: the queries left over then find no walk and
+    /// are not sent.
     fn drive_lookup<C: Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, lookup: u64) {
-        let queries = self.dht.lookup_next_queries(lookup);
-        for info in queries {
+        let Some(walk) = self.session.walks.get_mut(&lookup) else {
+            return;
+        };
+        for info in walk.lookup.next_queries() {
             let ep = info.endpoint;
             self.ensure_dial(ctx, ep, None, Some(PostDial::LookupQuery { lookup, info }));
         }
-        if let Some(result) = self.dht.lookup_take_result(lookup) {
-            self.finish_lookup(ctx, lookup, result);
+        let walks = &mut self.session.walks;
+        if walks.get(&lookup).is_some_and(|w| w.lookup.is_done()) {
+            let walk = walks.remove(&lookup).expect("a done walk is registered");
+            self.finish_lookup(ctx, walk);
         }
     }
 
-    fn finish_lookup<C: Debug>(
-        &mut self,
-        ctx: &mut Ctx<'_, WireMsg, C>,
-        lookup: u64,
-        result: LookupResult,
-    ) {
-        if let Some(started) = self.session.lookup_started.remove(&lookup) {
-            let elapsed = ctx.now().0.saturating_sub(started.0);
-            telemetry::observe(telemetry::Metric::LookupLatencyNs, elapsed);
-            telemetry::flight::span(started.0, elapsed, "lookup", "dht", result.contacted as u64);
+    fn finish_lookup<C: Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, walk: Walk) {
+        let result = walk.lookup.into_result();
+        if telemetry::enabled() {
+            use telemetry::{Counter, Metric};
+            telemetry::count(Counter::LookupsCompleted, 1);
+            telemetry::count(Counter::LookupPeerFailures, result.failures as u64);
+            telemetry::observe(Metric::LookupContacted, result.contacted as u64);
+            let started = walk.started.0;
+            let elapsed = ctx.now().0.saturating_sub(started);
+            telemetry::observe(Metric::LookupLatencyNs, elapsed);
+            telemetry::flight::span(started, elapsed, "lookup", "dht", result.contacted as u64);
         }
-        let Some(op_id) = self.session.lookup_to_op.remove(&lookup) else {
+        let Some(op_id) = walk.op else {
             // Maintenance lookup (bootstrap/refresh) — table already updated.
             if !self.session.bootstrapped {
                 self.session.bootstrapped = true;
@@ -294,17 +321,20 @@ impl IpfsNode {
                 let Some(rpc) = self.session.pending.remove(&msg.req_id) else {
                     return; // late or unsolicited
                 };
-                let lookup = rpc.lookup;
                 let (closer, providers) = match resp {
                     DhtResponse::Nodes { closer } => (closer, vec![]),
                     DhtResponse::Providers { providers, closer } => (closer, providers),
-                    DhtResponse::Pong => return self.drive_lookup(ctx, lookup),
+                    // A wrong-typed answer still answers: counted as empty,
+                    // the candidate stops `Waiting` and the walk goes on.
+                    DhtResponse::Pong => (vec![], vec![]),
                 };
-                let created =
-                    self.dht
-                        .lookup_response(lookup, &rpc.peer, closer, providers, ctx.now());
+                // Responders are servers by construction.
+                let created = self.dht.observe_peer(&rpc.peer, true, ctx.now());
+                if let Some(walk) = self.session.walks.get_mut(&rpc.lookup) {
+                    walk.lookup.on_response(&rpc.peer.id, closer, providers);
+                }
                 self.flag_created_entry(created, &rpc.peer.id);
-                self.drive_lookup(ctx, lookup);
+                self.drive_lookup(ctx, rpc.lookup);
             }
         }
     }

@@ -14,7 +14,7 @@
 //! |---------|-------------------------------------------------------------------|
 //! | `node`  | [`NodeConfig`], the struct and its per-session state, accessors, lifecycle (`handle_start`, identity adoption), the command / message / timer routers |
 //! | `conn`  | identify, the post-dial action queue, neighbour bookkeeping behind the routing table's `connected` column, relay reservations, the connection manager |
-//! | `dht`   | RPC plumbing, the lookup driver (`begin_lookup` → `drive_lookup` → `finish_lookup`), bootstrap, provide / reprovide / refresh |
+//! | `dht`   | RPC plumbing, the node's walks (one map in the session) and their driver (`begin_lookup` → `drive_lookup` → `finish_lookup`, walk telemetry included), bootstrap, provide / reprovide / refresh |
 //! | `fetch` | the retrieval pipeline (`start_fetch` → Bitswap phase → DHT phase → complete / fail), the Bitswap message path and monitor log, gateway replies |
 //! | `actor` | [`NodeActor`], the `simnet::Actor` adapter for a plain node         |
 //! | `wire`  | the ecosystem's message, command and event types                  |

@@ -6,20 +6,20 @@
 //! command type so higher layers can wrap nodes into richer actor enums
 //! (monitors, Hydra boosters and crawlers live in `tcsb-core`).
 //!
-//! This file holds the configuration, the struct with its [`Session`], the
+//! This file holds the configuration, the struct with its `Session`, the
 //! lifecycle and the three routers (command, message, timer); what they
 //! route to is one `impl IpfsNode` block per service in `conn`, `dht` and
 //! `fetch`.
 
 use crate::conn::{PeerConns, PostDial};
-use crate::dht::{Op, PendingRpc};
+use crate::dht::{Op, PendingRpc, Walk};
 use crate::wire::{BitswapLogEntry, NodeCmd, NodeEvent, WireMsg};
 use bitswap::{Bitswap, Block, MemoryBlockstore};
 use ipfs_types::{Cid, Keypair, Multiaddr, PeerId};
 use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet};
 use kademlia::{AddrList, Dht, DhtConfig, DhtMode, LookupKind, PeerInfo};
 use rand::RngExt;
-use simnet::{Ctx, Dur, NodeId, SimTime};
+use simnet::{Ctx, Dur, NodeId};
 use std::fmt::Debug;
 use std::net::SocketAddrV4;
 use std::sync::Arc;
@@ -94,8 +94,6 @@ pub struct NodeConfig {
     pub record_events: bool,
     /// Extra addresses announced besides the primary (multihoming).
     pub extra_addrs: Vec<SocketAddrV4>,
-    /// DHT parameters.
-    pub dht: DhtConfig,
 }
 
 impl NodeConfig {
@@ -121,7 +119,6 @@ impl NodeConfig {
             log_bitswap: false,
             record_events: false,
             extra_addrs: Vec::new(),
-            dht: DhtConfig::server(),
         }
     }
 }
@@ -144,13 +141,19 @@ pub(crate) struct Session {
     /// identified as it. Every identified id has an entry; it is dropped
     /// when the id's last connection closes.
     pub(crate) conn_by_peer: HashMap<PeerId, PeerConns>,
+    /// Actions waiting on a dial under way, by endpoint.
     pub(crate) dialing: HashMap<NodeId, Vec<PostDial>>,
+    /// Walk queries awaiting an answer, by request id.
     pub(crate) pending: HashMap<u64, PendingRpc>,
+    /// Operations awaiting a walk's result (or, for a fetch, its end), by
+    /// op id.
     pub(crate) ops: HashMap<u64, Op>,
-    pub(crate) lookup_to_op: HashMap<u64, u64>,
-    /// Virtual start time per in-flight lookup — telemetry only, populated
-    /// solely while telemetry is enabled (empty and free otherwise).
-    pub(crate) lookup_started: HashMap<u64, SimTime>,
+    /// The node's DHT walks in flight, by walk id: one entry holds the
+    /// lookup, the op it serves and its start time.
+    pub(crate) walks: HashMap<u64, Walk>,
+    /// The next walk id. Walk ids name no event, message or timer token,
+    /// so they may start over with each session.
+    pub(crate) next_walk: u64,
     pub(crate) fetch_by_cid: HashMap<Cid, u64>,
     pub(crate) relay: Option<(PeerId, NodeId, SocketAddrV4)>,
     pub(crate) relay_clients: HashSet<NodeId>,
@@ -198,7 +201,7 @@ impl IpfsNode {
         IpfsNode {
             keypair,
             id,
-            dht: Dht::new(id, cfg.dht),
+            dht: Dht::new(id, DhtConfig::server()),
             store: MemoryBlockstore::new(),
             published: Vec::new(),
             session: Session::default(),
@@ -244,6 +247,11 @@ impl IpfsNode {
     /// CIDs we have published.
     pub fn published(&self) -> &[Cid] {
         &self.published
+    }
+
+    /// Number of DHT walks in flight.
+    pub fn walks_in_flight(&self) -> usize {
+        self.session.walks.len()
     }
 
     pub(crate) fn record(&mut self, ev: NodeEvent) {
@@ -312,7 +320,8 @@ impl IpfsNode {
         } else {
             DhtMode::Client
         });
-        // Fresh session: routing table and connection state are in-memory.
+        // Fresh session: routing table, walks and connection state are
+        // in-memory.
         self.dht.reset_table();
         self.session = Session::default();
 
@@ -334,7 +343,7 @@ impl IpfsNode {
         }
     }
 
-    /// Whether the session is exactly what [`Session::default`] builds —
+    /// Whether the session is exactly what `Session::default` builds —
     /// compared through `Debug`, so a field added later is covered.
     #[cfg(any(test, debug_assertions))]
     pub fn session_is_fresh(&self) -> bool {
@@ -349,7 +358,7 @@ impl IpfsNode {
         self.cfg.identity_seed = seed;
         self.keypair = Keypair::from_seed(seed);
         self.id = self.keypair.peer_id();
-        self.dht = Dht::new(self.id, self.cfg.dht);
+        self.dht = Dht::new(self.id, DhtConfig::server());
         self.store = MemoryBlockstore::new();
         self.published.clear();
         // Simulate a process restart with the new identity.

@@ -3,6 +3,7 @@
 use bitswap::{Bitswap, BitswapMessage, MemoryBlockstore, WantEntry, WantType};
 use ipfs_node::{IpfsNode, NodeActor, NodeCmd, NodeConfig, NodeEvent, WireMsg};
 use ipfs_types::{Cid, PeerId};
+use kademlia::DhtResponse;
 use simnet::{Dur, LatencyModel, NodeId, NodeSetup, Sim, SimConfig};
 use std::net::Ipv4Addr;
 
@@ -858,18 +859,17 @@ fn far_seeds(n: usize) -> Vec<PeerId> {
 
 #[test]
 fn peer_rejected_by_a_full_bucket_is_flagged_when_it_gets_in_later() {
-    // Two slots per bucket; pruning disabled until the test wants it.
-    let mut st = Stage::new(3, |nc| {
-        nc.dht.table.k = 2;
-        nc.table_entry_ttl = Dur::from_mins(10);
-    });
-    let ids = far_seeds(3);
-    st.identify(NodeId(1), ids[0]);
-    st.identify(NodeId(2), ids[1]);
-    st.identify(NodeId(3), ids[2]);
-    assert_eq!(st.flag(ids[0]), Some(true));
-    assert_eq!(st.flag(ids[1]), Some(true));
-    assert_eq!(st.flag(ids[2]), None, "bucket 0 holds two fresh entries");
+    // k + 1 peers compete for bucket 0's k slots; pruning disabled until
+    // the test wants it.
+    let k = kademlia::TableConfig::default().k;
+    let last = NodeId(k as u32 + 1);
+    let mut st = Stage::new(last.0, |nc| nc.table_entry_ttl = Dur::from_mins(10));
+    let ids = far_seeds(k + 1);
+    for (i, id) in ids.iter().enumerate() {
+        st.identify(NodeId(i as u32 + 1), *id);
+    }
+    assert!(ids[..k].iter().all(|id| st.flag(*id) == Some(true)));
+    assert_eq!(st.flag(ids[k]), None, "bucket 0 holds k fresh entries");
     // The first peer leaves; its entry ages out at a connection-manager
     // tick. The second stays silent just as long and is kept by its flag.
     st.tell(NodeId(1), Script::HangUp(NODE));
@@ -878,12 +878,12 @@ fn peer_rejected_by_a_full_bucket_is_flagged_when_it_gets_in_later() {
     check_flags(st.node());
     assert_eq!(st.flag(ids[0]), None);
     assert_eq!(st.flag(ids[1]), Some(true));
-    // The third peer, connected and identified all along, speaks: the
+    // The last peer, connected and identified all along, speaks: the
     // table creates its entry now, and it must come out flagged.
-    st.ping_as(NodeId(3), ids[2]);
-    assert_eq!(st.flag(ids[2]), Some(true));
+    st.ping_as(last, ids[k]);
+    assert_eq!(st.flag(ids[k]), Some(true));
     st.sim.run_for(Dur::from_mins(12));
-    assert_eq!(st.flag(ids[2]), Some(true), "pruned despite its connection");
+    assert_eq!(st.flag(ids[k]), Some(true), "pruned despite its connection");
 }
 
 #[test]
@@ -894,7 +894,7 @@ fn peer_dropped_by_a_failed_query_is_flagged_when_it_comes_back() {
     st.identify(p, id);
     assert_eq!(st.flag(id), Some(true));
     // The node walks the DHT; its only peer never answers, the RPC times
-    // out, and `lookup_failure` drops the entry — the connection stays.
+    // out, and the failed query drops the entry — the connection stays.
     st.tell(
         NODE,
         Script::Node(NodeCmd::Provide {
@@ -939,6 +939,7 @@ fn session_restart_leaves_nothing_behind() {
     }
     st.sim.run_for(Dur::from_secs(1));
     assert!(st.node().bitswap().is_fetching(&cid));
+    assert_eq!(st.node().walks_in_flight(), 1, "the provide walk");
     assert!(!st.node().session_is_fresh());
     // Down and up again: `handle_start` arms timers only (no bootstrap
     // peers configured), so the session must be `Session::default()`.
@@ -958,26 +959,34 @@ fn session_restart_leaves_nothing_behind() {
 
 impl Stage {
     /// `puppet`, speaking as server `id`, answers the node's request
-    /// `req_id` with `closer`.
+    /// `req_id` with `closer`, at the node's own endpoint.
     fn answer_nodes(&mut self, puppet: NodeId, id: PeerId, req_id: u64, closer: PeerId) {
-        let peer = |id, endpoint| kademlia::PeerInfo {
-            id,
-            addrs: kademlia::no_addrs(),
-            endpoint,
-        };
+        let closer = vec![peer_at(closer, NODE)];
+        self.answer(puppet, id, req_id, DhtResponse::Nodes { closer });
+    }
+
+    /// `puppet`, speaking as server `id`, answers the node's request
+    /// `req_id` with `body`.
+    fn answer(&mut self, puppet: NodeId, id: PeerId, req_id: u64, body: DhtResponse) {
         let msg = WireMsg::Dht(kademlia::DhtMessage {
             req_id,
-            sender: peer(id, puppet),
+            sender: peer_at(id, puppet),
             sender_is_server: true,
-            body: kademlia::DhtBody::Response(kademlia::DhtResponse::Nodes {
-                closer: vec![peer(closer, NODE)],
-            }),
+            body: kademlia::DhtBody::Response(body),
         });
         self.tell(puppet, Script::Say(NODE, msg));
     }
 
     fn count_events(&self, wanted: impl Fn(&NodeEvent) -> bool) -> usize {
         self.node().events.iter().filter(|e| wanted(e)).count()
+    }
+}
+
+fn peer_at(id: PeerId, endpoint: NodeId) -> kademlia::PeerInfo {
+    kademlia::PeerInfo {
+        id,
+        addrs: kademlia::no_addrs(),
+        endpoint,
     }
 }
 
@@ -1025,6 +1034,59 @@ fn previous_identity_at_the_own_endpoint_does_not_stall_bootstrap() {
         "self-lookup still waiting on the node's own endpoint: {:?}",
         st.node().events
     );
+}
+
+#[test]
+fn walk_query_answered_with_pong_counts_as_an_empty_answer() {
+    let mut st = Stage::new(1, |nc| nc.record_events = true);
+    let (p, id) = (NodeId(1), PeerId::from_seed(100));
+    st.identify(p, id);
+    let cid = Cid::from_seed(1);
+    // The provide op takes id 1, its only `FindNode` request 2; a hostile
+    // peer answers it with the reply to a `Ping`.
+    st.tell(NODE, Script::Node(NodeCmd::Provide { cid }));
+    st.answer(p, id, 2, DhtResponse::Pong);
+    // Past the RPC timeout, which finds nothing pending any more.
+    st.sim.run_for(Dur::from_secs(20));
+    let provided =
+        |e: &NodeEvent| matches!(e, NodeEvent::Provided { cid: c, resolvers: 1 } if *c == cid);
+    assert_eq!(
+        st.count_events(provided),
+        1,
+        "walk still waiting on a peer that answered: {:?}",
+        st.node().events
+    );
+    assert_eq!(st.node().walks_in_flight(), 0);
+}
+
+#[test]
+fn finished_walk_records_its_telemetry() {
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let mut st = Stage::new(1, |_| {});
+    let (p, id) = (NodeId(1), PeerId::from_seed(100));
+    st.identify(p, id);
+    // One provide walk, one query (request 2), answered with nobody new.
+    st.tell(
+        NODE,
+        Script::Node(NodeCmd::Provide {
+            cid: Cid::from_seed(1),
+        }),
+    );
+    st.answer_nodes(p, id, 2, id);
+    assert_eq!(st.node().walks_in_flight(), 0);
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(false);
+    telemetry::reset();
+    let counter = |name| snap.counters.iter().find(|(n, _)| *n == name).unwrap().1;
+    let hist = |name| &snap.hists.iter().find(|(n, _)| *n == name).unwrap().1;
+    assert_eq!(counter("lookups_completed"), 1);
+    assert_eq!(counter("lookup_peer_failures"), 0);
+    let contacted = hist("lookup_contacted");
+    assert_eq!((contacted.count, contacted.sum), (1, 1));
+    let latency = hist("lookup_latency_ns");
+    assert_eq!(latency.count, 1);
+    assert!(latency.sum > 0, "the answer took virtual time");
 }
 
 // ----------------------------------------------------------------------

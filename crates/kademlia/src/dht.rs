@@ -1,16 +1,17 @@
-//! Per-node DHT engine: routing table + provider store + active lookups.
+//! Per-node DHT engine, the serving half: routing table + provider store +
+//! mode, and the answer to every incoming request.
 //!
-//! Still sans-io — the `ipfs-node` crate owns transport, request IDs and
-//! timers and drives this state machine. The server/client distinction
-//! matches §2 of the paper: clients use the DHT purely as a service and
-//! never answer requests, so they are invisible to crawls; servers form the
-//! network's core.
+//! Still sans-io — the `ipfs-node` crate owns transport, request IDs,
+//! timers and its walks: [`Dht::start_lookup`] hands out a [`Lookup`]
+//! seeded from the table, and the caller keeps and drives it. The
+//! server/client distinction matches §2 of the paper: clients use the
+//! DHT purely as a service and never answer requests, so they are invisible
+//! to crawls; servers form the network's core.
 
-use crate::lookup::{Lookup, LookupConfig, LookupKind, LookupResult};
-use crate::messages::{DhtRequest, DhtResponse, PeerInfo, ProviderRecord};
+use crate::lookup::{Lookup, LookupConfig, LookupKind};
+use crate::messages::{DhtRequest, DhtResponse, PeerInfo};
 use crate::providers::{ProviderStore, ProviderStoreConfig};
 use crate::table::{Observed, RoutingTable, TableConfig};
-use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, Key256, PeerId};
 use simnet::SimTime;
 
@@ -63,8 +64,6 @@ pub struct Dht {
     cfg: DhtConfig,
     table: RoutingTable,
     providers: ProviderStore,
-    lookups: HashMap<u64, Lookup>,
-    next_lookup: u64,
 }
 
 impl Dht {
@@ -74,8 +73,6 @@ impl Dht {
             local,
             table: RoutingTable::new(local.key(), cfg.table),
             providers: ProviderStore::new(cfg.providers),
-            lookups: HashMap::default(),
-            next_lookup: 1,
             cfg,
         }
     }
@@ -161,74 +158,13 @@ impl Dht {
         (response, created)
     }
 
-    /// Begin an iterative lookup seeded from the routing table. Returns the
-    /// lookup handle.
-    pub fn start_lookup(&mut self, target: Key256, cid: Option<Cid>, kind: LookupKind) -> u64 {
-        let id = self.next_lookup;
-        self.next_lookup += 1;
+    /// A new iterative lookup toward `target`, seeded with the table's `k`
+    /// closest peers and run with this DHT's [`LookupConfig`]. The caller
+    /// owns the walk: it sends the queries, feeds back answers and
+    /// failures, and takes the result.
+    pub fn start_lookup(&self, target: Key256, cid: Option<Cid>, kind: LookupKind) -> Lookup {
         let seeds = self.table.closest(&target, self.cfg.lookup.k);
-        let lookup = Lookup::new(target, cid, kind, self.cfg.lookup, seeds);
-        self.lookups.insert(id, lookup);
-        id
-    }
-
-    /// Peers the lookup wants queried now (marks them in-flight).
-    pub fn lookup_next_queries(&mut self, id: u64) -> Vec<PeerInfo> {
-        self.lookups
-            .get_mut(&id)
-            .map(|l| l.next_queries())
-            .unwrap_or_default()
-    }
-
-    /// Feed a response into a lookup; the responder also feeds the routing
-    /// table (responders are servers by construction). Returns
-    /// [`Self::observe_peer`]'s flag for `from`.
-    pub fn lookup_response(
-        &mut self,
-        id: u64,
-        from: &PeerInfo,
-        closer: Vec<PeerInfo>,
-        providers: Vec<ProviderRecord>,
-        now: SimTime,
-    ) -> bool {
-        let created = self.observe_peer(from, true, now);
-        if let Some(l) = self.lookups.get_mut(&id) {
-            l.on_response(&from.id, closer, providers);
-        }
-        created
-    }
-
-    /// Feed a failure into a lookup and drop the peer from the table.
-    pub fn lookup_failure(&mut self, id: u64, from: &PeerId) {
-        self.table.remove(from);
-        if let Some(l) = self.lookups.get_mut(&id) {
-            l.on_failure(from);
-        }
-    }
-
-    /// If the lookup is finished, remove and return its result.
-    pub fn lookup_take_result(&mut self, id: u64) -> Option<LookupResult> {
-        if self.lookups.get(&id)?.is_done() {
-            let result = self.lookups.remove(&id).map(|l| l.into_result());
-            if let Some(r) = &result {
-                telemetry::count(telemetry::Counter::LookupsCompleted, 1);
-                telemetry::count(telemetry::Counter::LookupPeerFailures, r.failures as u64);
-                telemetry::observe(telemetry::Metric::LookupContacted, r.contacted as u64);
-            }
-            result
-        } else {
-            None
-        }
-    }
-
-    /// Whether a lookup is still registered.
-    pub fn lookup_active(&self, id: u64) -> bool {
-        self.lookups.contains_key(&id)
-    }
-
-    /// Target, CID and kind of an active lookup (for building wire requests).
-    pub fn lookup_meta(&self, id: u64) -> Option<(Key256, Option<Cid>, LookupKind)> {
-        self.lookups.get(&id).map(|l| (l.target, l.cid, l.kind()))
+        Lookup::new(target, cid, kind, self.cfg.lookup, seeds)
     }
 
     /// Keys to look up for periodic bucket refresh.
@@ -236,18 +172,18 @@ impl Dht {
         self.table.refresh_targets()
     }
 
-    /// Drop the in-memory routing table and all lookups (process restart).
-    /// The provider store survives: it is backed by the on-disk datastore in
-    /// the real implementation.
+    /// Drop the in-memory routing table (process restart). The provider
+    /// store survives: it is backed by the on-disk datastore in the real
+    /// implementation.
     pub fn reset_table(&mut self) {
         self.table = RoutingTable::new(self.local.key(), self.cfg.table);
-        self.lookups.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ProviderRecord;
     use simnet::NodeId;
 
     fn info(seed: u64) -> PeerInfo {
@@ -376,32 +312,22 @@ mod tests {
             d.observe_peer(&info(s), true, SimTime::ZERO);
         }
         let target = Key256::from_seed(99);
-        let id = d.start_lookup(target, None, LookupKind::GetClosestPeers);
-        assert!(d.lookup_active(id));
+        let mut lookup = d.start_lookup(target, None, LookupKind::GetClosestPeers);
         let mut guard = 0;
-        loop {
+        while !lookup.is_done() {
             guard += 1;
             assert!(guard < 100);
-            let qs = d.lookup_next_queries(id);
-            if qs.is_empty() {
-                break;
-            }
+            let qs = lookup.next_queries();
+            assert!(!qs.is_empty(), "an unfinished walk with nothing in flight");
             for q in qs {
-                d.lookup_response(id, &q, vec![], vec![], SimTime::ZERO);
-            }
-            if d.lookup_take_result(id).is_some() {
-                break;
+                lookup.on_response(&q.id, vec![], vec![]);
             }
         }
-        assert!(!d.lookup_active(id));
-    }
-
-    #[test]
-    fn failed_peers_leave_table() {
-        let mut d = Dht::new(PeerId::from_seed(0), DhtConfig::server());
-        d.observe_peer(&info(1), true, SimTime::ZERO);
-        let id = d.start_lookup(Key256::from_seed(5), None, LookupKind::GetClosestPeers);
-        d.lookup_failure(id, &PeerId::from_seed(1));
-        assert!(d.table().get(&PeerId::from_seed(1)).is_none());
+        // Every seed answered and named nobody new: the result is the
+        // table's own k closest.
+        let result = lookup.into_result();
+        let ids = |peers: &[PeerInfo]| peers.iter().map(|p| p.id).collect::<Vec<_>>();
+        assert_eq!(ids(&result.closest), ids(&d.table().closest(&target, 20)));
+        assert_eq!((result.contacted, result.failures), (20, 0));
     }
 }

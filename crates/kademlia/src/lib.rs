@@ -6,9 +6,11 @@
 //! including the paper's exhaustive termination variant), and the DHT
 //! server/client split that makes NAT-ed nodes invisible to crawls.
 //!
-//! The crate is transport-free: `ipfs-node` drives these state machines
-//! inside the simulator, and `tcsb-core`'s measurement tools speak the same
-//! message types.
+//! The crate is transport-free. [`Dht`] is the serving half of one node:
+//! routing table, provider store, mode and the answer to each request. A
+//! [`Lookup`] is one walk, owned and driven by whoever started it: the
+//! `ipfs-node` session keeps its node's walks, and `tcsb-core`'s Hydra and
+//! crawler keep their own while speaking the same message types.
 
 #![forbid(unsafe_code)]
 

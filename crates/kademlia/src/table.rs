@@ -53,7 +53,7 @@
 //! therefore disjoint distance intervals, totally ordered by the bits of
 //! `D` alone: buckets `i < last` with `D[i] = 1` in ascending index, then
 //! the last bucket, then buckets with `D[i] = 0` in descending index
-//! ([`RoutingTable::walk_order`]). `closest` visits buckets in that order,
+//! (`RoutingTable::walk_order`). `closest` visits buckets in that order,
 //! sorts each one on its own (at most `k` entries, on a stack buffer) and
 //! appends them until `count` are out: no entry is compared against
 //! another bucket's.

@@ -93,7 +93,7 @@ const GOAL_RATIO_X100: u64 = 150;
 /// the lightest shard so far. Phase 2 repeatedly moves a stratified
 /// portion of the heaviest shard's heaviest region part onto the
 /// lightest shard — splitting that region — until the predicted max/min
-/// ratio is under [`GOAL_RATIO_X100`] or no move can help. At stress
+/// ratio is under `GOAL_RATIO_X100` or no move can help. At stress
 /// scale this places three of four regions whole and splits only the
 /// hottest one, between exactly two shards: one intra-region shard pair
 /// instead of the chain a contiguous cut produces.

@@ -264,7 +264,7 @@ impl RateStream {
 
 /// Deterministic weighted CID sampler over the content catalog's Zipf
 /// weights (the fig 9/15 Pareto fits: item `c` carries weight
-/// `(c+1)^-0.6` in [`crate::build`]).
+/// `(c+1)^-0.6` in [`crate::build()`]).
 ///
 /// Items are canonically ordered by (weight desc, id asc) at construction,
 /// so two samplers built from any permutations of the same `(id, weight)`

@@ -1,6 +1,6 @@
 //! Churn models: heavy-tailed online/offline session sampling.
 //!
-//! Measurement studies of IPFS churn ([13] in the paper) find session
+//! Measurement studies of IPFS churn (\[13\] in the paper) find session
 //! lengths to be heavy-tailed: most fringe nodes stay minutes-to-hours,
 //! a stable core stays up for weeks. We model per-segment session and
 //! absence durations as log-normal variables, sampled with a hand-rolled

@@ -18,10 +18,10 @@
 //!   the coarse cursor advances.
 //!
 //! Storage is one slab. Every queued payload lives in exactly one
-//! [`Node`] of `slab` (208 bytes for the ecosystem's `Ev<WireMsg, _>`)
+//! `Node` of `slab` (208 bytes for the ecosystem's `Ev<WireMsg, _>`)
 //! from `push` to `pop`; the wheels are arrays of `u32` list heads threaded
 //! through `Node::next`, and the far heap and the staging buffer hold
-//! 24-byte `(at, seq, idx)` [`Key`]s. A cascade, a far pull, a sort or a
+//! 24-byte `(at, seq, idx)` `Key`s. A cascade, a far pull, a sort or a
 //! heap sift therefore moves indices, never payloads, and popped nodes go
 //! to a LIFO free list so the next push rewrites the node that was just
 //! read. The queue's footprint is its peak *population* — the event

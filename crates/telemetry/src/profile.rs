@@ -1,6 +1,6 @@
 //! The per-shard epoch profiler: wall-clock timelines of the conservative
 //! sync loop, exported as Chrome trace-event JSON (load the file in
-//! Perfetto — https://ui.perfetto.dev — or `chrome://tracing`).
+//! Perfetto — <https://ui.perfetto.dev> — or `chrome://tracing`).
 //!
 //! Every sample is *host* data (wall micros, queue depths at wall
 //! instants): useful for spotting shard imbalance and lookahead stalls,

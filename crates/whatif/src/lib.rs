@@ -14,9 +14,9 @@
 //! "region partition", "fraction-p random cull". The engine here:
 //!
 //! 1. **compiles** each spec against the generated population into a
-//!    deterministic node set ([`compile`]);
+//!    deterministic node set ([`compile()`]);
 //! 2. **schedules** it through the simulator's ordinary event queue
-//!    ([`apply`]) — graceful exits ride the existing `NodeDown` lifecycle
+//!    ([`apply()`]) — graceful exits ride the existing `NodeDown` lifecycle
 //!    (peers are notified, provider records expire naturally), abrupt
 //!    kills use the engine's [`simnet::Fault::Kill`] (no FIN, peers
 //!    discover the death through their own timeouts), and
