@@ -14,6 +14,7 @@ use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet, PeerId};
 use kademlia::{DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo};
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Per-request timeout.
 const RPC_TIMEOUT: Dur = Dur::from_secs(10);
@@ -113,6 +114,9 @@ pub struct Crawler {
     pending: HashMap<u64, PeerId>,
     next_req: u64,
     seen_addrs: HashMap<PeerId, HashSet<Ipv4Addr>>,
+    /// Our info, the sender of every query: built on first use (the
+    /// endpoint comes from the context) and shared from then on.
+    me: Option<Arc<PeerInfo>>,
     /// Finished snapshots, in order.
     pub snapshots: Vec<CrawlSnapshot>,
 }
@@ -138,6 +142,7 @@ impl Crawler {
             pending: HashMap::default(),
             next_req: 1,
             seen_addrs: HashMap::default(),
+            me: None,
             snapshots: Vec::new(),
         }
     }
@@ -147,12 +152,17 @@ impl Crawler {
         self.active
     }
 
-    fn my_info<C: std::fmt::Debug>(&self, ctx: &Ctx<'_, WireMsg, C>) -> PeerInfo {
-        PeerInfo {
-            id: self.my_id,
-            addrs: kademlia::no_addrs(),
-            endpoint: ctx.me(),
-        }
+    fn my_info<C: std::fmt::Debug>(&mut self, ctx: &Ctx<'_, WireMsg, C>) -> Arc<PeerInfo> {
+        let my_id = self.my_id;
+        self.me
+            .get_or_insert_with(|| {
+                Arc::new(PeerInfo {
+                    id: my_id,
+                    addrs: kademlia::no_addrs(),
+                    endpoint: ctx.me(),
+                })
+            })
+            .clone()
     }
 
     /// Handle a crawler command.
@@ -256,7 +266,7 @@ impl Crawler {
             req_id,
             sender: self.my_info(ctx),
             sender_is_server: false,
-            body: DhtBody::Request(DhtRequest::FindNode { target: target_key }),
+            body: DhtBody::Request(DhtRequest::FindNode { target: target_key }.into()),
         };
         if ctx.send(endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, peer);

@@ -16,6 +16,7 @@ use kademlia::{
 };
 use simnet::{Ctx, Dur, NodeId};
 use std::net::SocketAddrV4;
+use std::sync::Arc;
 
 /// One Hydra log line.
 #[derive(Clone, Debug)]
@@ -45,7 +46,10 @@ pub struct Hydra {
     /// Virtual peer IDs.
     pub heads: Vec<PeerId>,
     /// Agent string every identify shares.
-    agent: std::sync::Arc<str>,
+    agent: Arc<str>,
+    /// Each head's info, the sender of its DHT messages: built on first
+    /// use (the endpoint comes from the context) and shared from then on.
+    head_infos: Vec<Arc<PeerInfo>>,
     table: RoutingTable,
     cache: ProviderStore,
     lookups: HashMap<u64, Lookup>,
@@ -72,6 +76,7 @@ impl Hydra {
         Hydra {
             heads,
             agent: "hydra-booster/0.7".into(),
+            head_infos: Vec::new(),
             table,
             cache: ProviderStore::new(ProviderStoreConfig {
                 ttl: Dur::from_hours(24),
@@ -103,12 +108,26 @@ impl Hydra {
         }
     }
 
-    fn head_info<C: std::fmt::Debug>(&self, ctx: &Ctx<'_, WireMsg, C>, which: usize) -> PeerInfo {
-        PeerInfo {
-            id: self.heads[which % self.heads.len()],
-            addrs: kademlia::no_addrs(),
-            endpoint: ctx.me(),
+    fn head_info<C: std::fmt::Debug>(
+        &mut self,
+        ctx: &Ctx<'_, WireMsg, C>,
+        which: usize,
+    ) -> Arc<PeerInfo> {
+        if self.head_infos.is_empty() {
+            let endpoint = ctx.me();
+            self.head_infos = self
+                .heads
+                .iter()
+                .map(|&id| {
+                    Arc::new(PeerInfo {
+                        id,
+                        addrs: kademlia::no_addrs(),
+                        endpoint,
+                    })
+                })
+                .collect();
         }
+        self.head_infos[which % self.head_infos.len()].clone()
     }
 
     /// Closest head to a key (the head that would own the request).
@@ -128,11 +147,10 @@ impl Hydra {
         ctx: &mut Ctx<'_, WireMsg, C>,
         from: NodeId,
     ) {
-        let info = self.head_info(ctx, 0);
         ctx.send(
             from,
             WireMsg::Identify {
-                id: info.id,
+                id: self.heads[0],
                 addrs: kademlia::no_addrs(),
                 dht_server: true,
                 agent: self.agent.clone(),
@@ -174,9 +192,14 @@ impl Hydra {
             return; // hydra speaks only the DHT
         };
         match m.body {
-            DhtBody::Request(req) => {
-                self.serve_request(ctx, from, m.req_id, &m.sender, m.sender_is_server, req)
-            }
+            DhtBody::Request(req) => self.serve_request(
+                ctx,
+                from,
+                m.req_id,
+                &m.sender,
+                m.sender_is_server,
+                req.into(),
+            ),
             DhtBody::Response(resp) => {
                 let Some((lookup_id, peer)) = self.pending.remove(&m.req_id) else {
                     return;
@@ -336,7 +359,7 @@ impl Hydra {
             req_id,
             sender: self.head_info(ctx, 0),
             sender_is_server: true,
-            body: DhtBody::Request(DhtRequest::GetProviders { cid }),
+            body: DhtBody::Request(DhtRequest::GetProviders { cid }.into()),
         };
         if ctx.send(info.endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, (lookup_id, info.clone()));

@@ -5,10 +5,18 @@
 //! 9 703 events (the slab-backed wheel: 3.6 MB).
 
 use netgen::{FlashCrowdSpec, ScenarioConfig, WorkloadSpec};
-use simnet::{Dur, SimTime};
-use tcsb_core::{Campaign, CampaignOptions};
+use simnet::{Dur, Sim, SimTime};
+use tcsb_core::{Campaign, CampaignOptions, EcoActor};
 
 const HOUR: u64 = 3_600_000_000_000;
+
+#[test]
+fn a_queued_ecosystem_event_fits_in_120_bytes() {
+    // Every queued event is one wheel node holding a `WireMsg` (or a
+    // command) in place; the stress hour keeps ≈ 475 k of them at once.
+    let node = Sim::<EcoActor>::queued_event_bytes();
+    assert!(node <= 120, "{node} B per queued event");
+}
 
 #[test]
 fn replay_queue_bytes_are_bounded_by_peak_queue_len() {
@@ -33,10 +41,11 @@ fn replay_queue_bytes_are_bounded_by_peak_queue_len() {
     let peak = c.sim.stats().peak_queue_len;
     let queue_bytes = c.sim.state_bytes().queue_bytes;
     assert!(peak > 1_000, "the replay queued something: {peak}");
-    // One slab node per event (≤ 256 B for this message type), the slab
-    // and the two key buffers each at most doubled by `Vec` growth, and
+    // One slab node per event (the slab rounded up to whole segments),
+    // the two key buffers each at most doubled by `Vec` growth, and
     // 32 KiB of list heads.
-    let bound = 4 * peak * 256 + (32 << 10);
+    let node = Sim::<EcoActor>::queued_event_bytes() as u64;
+    let bound = 4 * peak * node + (32 << 10);
     assert!(
         queue_bytes <= bound,
         "{queue_bytes} B of queue retained for a peak of {peak} events (bound {bound} B)"

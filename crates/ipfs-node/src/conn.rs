@@ -342,7 +342,7 @@ impl IpfsNode {
         self.session.relay_clients.remove(&peer);
         if self.session.relay.is_some_and(|(_, ep, _)| ep == peer) {
             self.session.relay = None;
-            self.session.adv_cache = None;
+            self.session.me = None;
             self.set_timer(ctx, Dur::from_secs(10), tok::RELAY, 0);
         }
     }
@@ -371,7 +371,7 @@ impl IpfsNode {
             let id = self.session.peers.get(&from).copied().flatten();
             if let (Some(id), Some(addr)) = (id, ctx.addr_of(from)) {
                 self.session.relay = Some((id, from, addr));
-                self.session.adv_cache = None;
+                self.session.me = None;
                 self.record(NodeEvent::RelayAcquired { relay: id });
             }
         } else if !accepted {

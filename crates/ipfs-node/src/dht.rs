@@ -73,7 +73,7 @@ impl IpfsNode {
             req_id,
             sender: self.my_info(ctx),
             sender_is_server: self.dht.is_server(),
-            body: DhtBody::Request(req),
+            body: DhtBody::Request(req.into()),
         }
     }
 
@@ -302,6 +302,7 @@ impl IpfsNode {
     ) {
         match msg.body {
             DhtBody::Request(req) => {
+                let req = DhtRequest::from(req);
                 self.dht_requests_served += 1;
                 let (resp, created) =
                     self.dht

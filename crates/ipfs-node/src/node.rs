@@ -158,11 +158,11 @@ pub(crate) struct Session {
     pub(crate) relay: Option<(PeerId, NodeId, SocketAddrV4)>,
     pub(crate) relay_clients: HashSet<NodeId>,
     pub(crate) bootstrapped: bool,
-    /// Cached advertised-address list; every outgoing DHT message embeds
-    /// it, so it is built once per session (invalidated on relay changes;
-    /// dialability is fixed when the node is added) and shared from then
-    /// on.
-    pub(crate) adv_cache: Option<AddrList>,
+    /// Our own info, the sender of every outgoing DHT message; identifies
+    /// and provider records carry its addresses. Built once per session
+    /// and shared from then on; invalidated on relay changes (dialability
+    /// is fixed when the node is added).
+    pub(crate) me: Option<Arc<PeerInfo>>,
     pub(crate) bitswap: Bitswap,
 }
 
@@ -283,20 +283,22 @@ impl IpfsNode {
 
     /// Shared advertised-address list (built once per session).
     pub(crate) fn adv_addrs<C: Debug>(&mut self, ctx: &Ctx<'_, WireMsg, C>) -> AddrList {
-        if let Some(a) = &self.session.adv_cache {
-            return a.clone();
-        }
-        let a: AddrList = self.advertised_addrs(ctx).into();
-        self.session.adv_cache = Some(a.clone());
-        a
+        self.my_info(ctx).addrs.clone()
     }
 
-    pub(crate) fn my_info<C: Debug>(&mut self, ctx: &Ctx<'_, WireMsg, C>) -> PeerInfo {
-        PeerInfo {
-            id: self.id,
-            addrs: self.adv_addrs(ctx),
-            endpoint: ctx.me(),
+    /// Our shared info, the sender of every DHT message (built once per
+    /// session).
+    pub(crate) fn my_info<C: Debug>(&mut self, ctx: &Ctx<'_, WireMsg, C>) -> Arc<PeerInfo> {
+        if let Some(me) = &self.session.me {
+            return me.clone();
         }
+        let me = Arc::new(PeerInfo {
+            id: self.id,
+            addrs: self.advertised_addrs(ctx).into(),
+            endpoint: ctx.me(),
+        });
+        self.session.me = Some(me.clone());
+        me
     }
 
     pub(crate) fn set_timer<C: Debug>(

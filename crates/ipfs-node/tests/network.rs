@@ -596,6 +596,8 @@ enum Scripted {
     Puppet,
     /// A puppet that also answers Bitswap, as a peer holding no blocks.
     Lacking(Box<Lacking>),
+    /// A puppet that keeps every DHT request it is sent.
+    Listener(Vec<kademlia::DhtMessage>),
 }
 
 /// A Bitswap engine over an empty store, speaking as `id`, with a record
@@ -646,6 +648,17 @@ impl simnet::Actor for Scripted {
             Scripted::Node(n) => n.handle_message(ctx, from, m),
             Scripted::Puppet => {}
             Scripted::Lacking(l) => l.on_bitswap(ctx, from, m),
+            Scripted::Listener(got) => {
+                if let WireMsg::Dht(
+                    m @ kademlia::DhtMessage {
+                        body: kademlia::DhtBody::Request(_),
+                        ..
+                    },
+                ) = m
+                {
+                    got.push(m);
+                }
+            }
         }
     }
     fn on_command(&mut self, ctx: &mut simnet::Ctx<'_, WireMsg, Script>, cmd: Script) {
@@ -754,13 +767,9 @@ impl Stage {
     fn ping_as(&mut self, puppet: NodeId, id: PeerId) {
         let msg = WireMsg::Dht(kademlia::DhtMessage {
             req_id: 1,
-            sender: kademlia::PeerInfo {
-                id,
-                addrs: kademlia::no_addrs(),
-                endpoint: puppet,
-            },
+            sender: std::sync::Arc::new(peer_at(id, puppet)),
             sender_is_server: true,
-            body: kademlia::DhtBody::Request(kademlia::DhtRequest::Ping),
+            body: kademlia::DhtBody::Request(kademlia::DhtRequest::Ping.into()),
         });
         self.tell(puppet, Script::Say(NODE, msg));
     }
@@ -970,7 +979,7 @@ impl Stage {
     fn answer(&mut self, puppet: NodeId, id: PeerId, req_id: u64, body: DhtResponse) {
         let msg = WireMsg::Dht(kademlia::DhtMessage {
             req_id,
-            sender: peer_at(id, puppet),
+            sender: std::sync::Arc::new(peer_at(id, puppet)),
             sender_is_server: true,
             body: kademlia::DhtBody::Response(body),
         });
@@ -1165,4 +1174,106 @@ fn broadcast_to_neighbours_lacking_the_block_draws_no_reply() {
     for &ep in &eps {
         assert!(st.lacking(ep).engine.wants_of(&me).next().is_none());
     }
+}
+
+impl Stage {
+    /// A NAT-ed node (a DHT client) bootstrapped to `n` listening puppets,
+    /// which identify as DHT servers `PeerId::from_seed(1..=n)`.
+    fn nat_with_listeners(n: u32) -> Stage {
+        let mut sim: Sim<Scripted> = Sim::new(
+            SimConfig::default(),
+            LatencyModel::uniform(Dur::from_millis(20), 0.0),
+            5,
+        );
+        let mut nc = NodeConfig::regular(0);
+        nc.record_events = true;
+        nc.refresh_interval = Dur::ZERO;
+        nc.reprovide_interval = Dur::ZERO;
+        sim.add_node(
+            Scripted::Node(Box::new(IpfsNode::new(nc))),
+            NodeSetup::nat(ip(0)),
+        );
+        let mut seeds = Vec::new();
+        for i in 1..=n {
+            let ep = sim.add_node(Scripted::Listener(Vec::new()), NodeSetup::public(ip(i)));
+            seeds.push((PeerId::from_seed(i as u64), ep));
+        }
+        let mut stage = Stage { sim };
+        stage.tell(
+            NODE,
+            Script::Node(NodeCmd::Bootstrap {
+                seeds: seeds.clone(),
+            }),
+        );
+        for (id, ep) in seeds {
+            stage.identify(ep, id);
+        }
+        stage
+    }
+
+    /// Every DHT request each listening puppet was sent, by puppet.
+    fn heard(&self) -> Vec<Vec<kademlia::DhtMessage>> {
+        (1..self.sim.core().node_count() as u32)
+            .map(|i| match self.sim.actor(NodeId(i)) {
+                Scripted::Listener(got) => got.clone(),
+                _ => unreachable!("n{i} is not a listener"),
+            })
+            .collect()
+    }
+
+    /// The node resolves a fresh CID: the requests it sends for it.
+    fn requests_for(&mut self, cid: Cid) -> Vec<kademlia::DhtMessage> {
+        let before: Vec<usize> = self.heard().iter().map(Vec::len).collect();
+        self.tell(
+            NODE,
+            Script::Node(NodeCmd::ResolveProviders {
+                cid,
+                exhaustive: false,
+            }),
+        );
+        let new: Vec<_> = self
+            .heard()
+            .into_iter()
+            .zip(before)
+            .flat_map(|(mut got, n)| got.split_off(n))
+            .collect();
+        assert!(!new.is_empty(), "the node sent no request for {cid:?}");
+        new
+    }
+}
+
+#[test]
+fn nat_node_requests_carry_its_circuit_address_while_it_has_a_relay() {
+    let mut st = Stage::nat_with_listeners(2);
+    let me = st.node().peer_id();
+    let (relay_ep, relay_id) = (NodeId(1), PeerId::from_seed(1));
+    assert!(!st.node().dht().is_server());
+    // No relay yet: nothing to advertise.
+    let early = st.heard().concat();
+    assert!(!early.is_empty(), "the bootstrap walk queried the puppets");
+    assert!(early.iter().all(|m| m.sender.addrs.is_empty()));
+    assert!(st
+        .requests_for(Cid::from_seed(1))
+        .iter()
+        .all(|m| m.sender.addrs.is_empty()));
+
+    // The relay grants a reservation: every request now carries the
+    // circuit address, and all of them share one sender allocation.
+    st.tell(
+        relay_ep,
+        Script::Say(NODE, WireMsg::RelayReserveOk { accepted: true }),
+    );
+    assert_eq!(st.node().relay(), Some(relay_id));
+    let circuit = vec![ipfs_types::Multiaddr::circuit(ip(1), 4001, relay_id, me)];
+    let relayed = st.requests_for(Cid::from_seed(2));
+    for m in &relayed {
+        assert_eq!(m.sender.addrs.to_vec(), circuit);
+        assert!(std::sync::Arc::ptr_eq(&m.sender, &relayed[0].sender));
+    }
+
+    // The relay hangs up: the node advertises nothing again.
+    st.tell(relay_ep, Script::HangUp(NODE));
+    assert_eq!(st.node().relay(), None);
+    let after = st.requests_for(Cid::from_seed(3));
+    assert!(after.iter().all(|m| m.sender.addrs.is_empty()), "{after:?}");
 }

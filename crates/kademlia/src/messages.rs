@@ -6,6 +6,11 @@
 //! the identify exchange on connection setup) plus a flag telling whether the
 //! sender operates in DHT *server* mode — only servers are eligible for
 //! routing tables.
+//!
+//! Every queued simulator event holds its message by value, so the framed
+//! [`DhtMessage`] is kept small: the sender's info is one shared
+//! allocation, and a request travels as a [`WireRequest`], which boxes the
+//! rare `AddProvider` record instead of holding it inline.
 
 use ipfs_types::{Cid, Key256, Multiaddr, PeerId};
 use simnet::{NodeId, SimTime};
@@ -101,6 +106,55 @@ impl DhtRequest {
     }
 }
 
+/// The wire form of a [`DhtRequest`]: the same requests, with the
+/// `AddProvider` record behind a `Box` so the common requests do not pay
+/// for its size in every queued message. Senders convert with `into()`;
+/// receivers convert back on arrival, moving the record out of the box.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WireRequest {
+    /// Liveness probe.
+    Ping,
+    /// Return the k closest known peers to `target`.
+    FindNode {
+        /// Lookup target key.
+        target: Key256,
+    },
+    /// Return provider records for `cid` plus closer peers.
+    GetProviders {
+        /// The content being resolved.
+        cid: Cid,
+    },
+    /// Store a provider record.
+    AddProvider {
+        /// The record to store.
+        record: Box<ProviderRecord>,
+    },
+}
+
+impl From<DhtRequest> for WireRequest {
+    fn from(req: DhtRequest) -> WireRequest {
+        match req {
+            DhtRequest::Ping => WireRequest::Ping,
+            DhtRequest::FindNode { target } => WireRequest::FindNode { target },
+            DhtRequest::GetProviders { cid } => WireRequest::GetProviders { cid },
+            DhtRequest::AddProvider { record } => WireRequest::AddProvider {
+                record: Box::new(record),
+            },
+        }
+    }
+}
+
+impl From<WireRequest> for DhtRequest {
+    fn from(req: WireRequest) -> DhtRequest {
+        match req {
+            WireRequest::Ping => DhtRequest::Ping,
+            WireRequest::FindNode { target } => DhtRequest::FindNode { target },
+            WireRequest::GetProviders { cid } => DhtRequest::GetProviders { cid },
+            WireRequest::AddProvider { record } => DhtRequest::AddProvider { record: *record },
+        }
+    }
+}
+
 /// The paper's §5 classification of DHT traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrafficClass {
@@ -136,8 +190,10 @@ pub enum DhtResponse {
 pub struct DhtMessage {
     /// Request/response correlation id (unique per sender).
     pub req_id: u64,
-    /// The sender's self-description (identify exchange).
-    pub sender: PeerInfo,
+    /// The sender's self-description (identify exchange), shared: a sender
+    /// builds it once and every message it sends holds the same
+    /// allocation, so a clone is a refcount bump.
+    pub sender: std::sync::Arc<PeerInfo>,
     /// Whether the sender runs in DHT server mode.
     pub sender_is_server: bool,
     /// Payload.
@@ -148,7 +204,7 @@ pub struct DhtMessage {
 #[derive(Clone, Debug)]
 pub enum DhtBody {
     /// A request expecting a response (except `AddProvider`).
-    Request(DhtRequest),
+    Request(WireRequest),
     /// A response to an earlier request.
     Response(DhtResponse),
 }
@@ -185,6 +241,31 @@ mod tests {
             .traffic_class(),
             TrafficClass::Other
         );
+    }
+
+    #[test]
+    fn wire_requests_round_trip_and_box_only_the_record() {
+        let cid = Cid::new_v1(Codec::Raw, b"z");
+        let record = ProviderRecord {
+            cid,
+            provider: PeerId::from_seed(2),
+            addrs: crate::messages::no_addrs(),
+            endpoint: NodeId(3),
+            relay_endpoint: Some(NodeId(4)),
+            stored_at: SimTime(5),
+        };
+        for req in [
+            DhtRequest::Ping,
+            DhtRequest::FindNode {
+                target: Key256::from_seed(1),
+            },
+            DhtRequest::GetProviders { cid },
+            DhtRequest::AddProvider { record },
+        ] {
+            assert_eq!(DhtRequest::from(WireRequest::from(req.clone())), req);
+        }
+        assert!(std::mem::size_of::<WireRequest>() < std::mem::size_of::<DhtRequest>());
+        assert!(std::mem::size_of::<DhtBody>() <= 48);
     }
 
     #[test]

@@ -60,6 +60,7 @@ use crate::state::{
 };
 use crate::stats::{ShardLoad, SimStats, StateBytes};
 use crate::time::{Dur, SimTime};
+use crate::wheel::TimerWheel;
 use std::net::SocketAddrV4;
 use std::sync::Arc;
 
@@ -283,6 +284,12 @@ impl<A: Actor> Sim<A> {
                 sync: sh.core.sync,
             })
             .collect()
+    }
+
+    /// Bytes one queued event occupies in a shard's timer wheel, for this
+    /// actor type's messages and commands.
+    pub fn queued_event_bytes() -> usize {
+        TimerWheel::<Ev<A::Msg, A::Cmd>>::NODE_BYTES
     }
 
     /// Whole-engine state accounting (per-shard splits folded together).

@@ -700,3 +700,21 @@ impl<M, C> SimCore<M, C> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn a_mailbox_event_adds_16_bytes_to_the_event() {
+        // Every cross-shard event is counted at `size_of::<OutEv>()`
+        // mailbox bytes: the event plus its time and ordering key.
+        fn extra<M, C>() -> usize {
+            size_of::<OutEv<M, C>>() - size_of::<Ev<M, C>>()
+        }
+        assert_eq!(extra::<u32, u32>(), 16);
+        assert_eq!(extra::<[u64; 10], u64>(), 16);
+        assert_eq!(extra::<Box<[u8]>, Vec<u8>>(), 16);
+    }
+}

@@ -18,8 +18,13 @@
 //!   the coarse cursor advances.
 //!
 //! Storage is one slab. Every queued payload lives in exactly one
-//! `Node` of `slab` (208 bytes for the ecosystem's `Ev<WireMsg, _>`)
-//! from `push` to `pop`; the wheels are arrays of `u32` list heads threaded
+//! `Node` of `slab` (112 bytes for the ecosystem's `Ev<WireMsg, _>`: the
+//! 88-byte event plus 24 of time, sequence number and link) from `push`
+//! to `pop`. The slab grows one fixed-size segment of 1 024 nodes at a
+//! time and never moves a node: one `Vec` that doubled would copy itself
+//! at every step and leave each outgrown buffer behind, for the allocator
+//! to keep resident long after the queue shrank. The wheels are arrays of
+//! `u32` list heads threaded
 //! through `Node::next`, and the far heap and the staging buffer hold
 //! 24-byte `(at, seq, idx)` `Key`s. A cascade, a far pull, a sort or a
 //! heap sift therefore moves indices, never payloads, and popped nodes go
@@ -57,6 +62,11 @@ const WORDS: usize = NEAR_SLOTS / 64;
 
 /// End-of-list marker for slot lists and the free list.
 const NIL: u32 = u32::MAX;
+
+/// Nodes per slab segment: a node index is `segment << SEG_BITS | offset`.
+const SEG_BITS: u32 = 10;
+const SEG: usize = 1 << SEG_BITS;
+const SEG_MASK: u32 = (SEG - 1) as u32;
 
 /// One slab cell: a queued event, or a free cell (`item` is `None`) linked
 /// into the free list. `next` threads whichever list the node is on.
@@ -127,8 +137,9 @@ impl Bitmap {
 /// this).
 #[derive(Clone)]
 pub struct TimerWheel<T> {
-    /// Every queued payload, once; free cells are chained from `free`.
-    slab: Vec<Node<T>>,
+    /// Every queued payload, once, in segments of `SEG` nodes; every
+    /// segment but the last is full. Free cells are chained from `free`.
+    slab: Vec<Vec<Node<T>>>,
     /// Head of the LIFO free list through `Node::next`.
     free: u32,
     /// Near-wheel list heads (`NIL` = empty slot).
@@ -184,12 +195,18 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
+    /// Bytes one queued event occupies in the slab: its payload in place,
+    /// with its time, sequence number and list link.
+    pub const NODE_BYTES: usize = std::mem::size_of::<Node<T>>();
+
     /// Heap bytes the queue holds, counted at capacity: the slab, both
     /// head arrays, staging and the far heap. Tracks the peak population,
     /// not the number of slots ever touched.
     pub fn queue_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.slab.capacity() * size_of::<Node<T>>()
+        let nodes: usize = self.slab.iter().map(Vec::capacity).sum();
+        (nodes * Self::NODE_BYTES
+            + self.slab.capacity() * size_of::<Vec<Node<T>>>()
             + (NEAR_SLOTS + COARSE_SLOTS) * size_of::<u32>()
             + (self.staging.capacity() + self.far.capacity()) * size_of::<Key>()) as u64
     }
@@ -226,17 +243,37 @@ impl<T> TimerWheel<T> {
         };
         let idx = if self.free != NIL {
             let idx = self.free;
-            let cell = &mut self.slab[idx as usize];
-            self.free = cell.next;
+            let cell = self.node_mut(idx);
+            let next = cell.next;
             *cell = node;
+            self.free = next;
             idx
         } else {
-            let idx = self.slab.len();
+            if self.slab.last().is_none_or(|seg| seg.len() == SEG) {
+                self.slab.push(Vec::with_capacity(SEG));
+            }
+            let segs = self.slab.len();
+            let seg = &mut self.slab[segs - 1];
+            let idx = (segs - 1) * SEG + seg.len();
             assert!(idx < NIL as usize, "the wheel indexes events with 32 bits");
-            self.slab.push(node);
+            if seg.len() == seg.capacity() {
+                // A cloned segment holds only its length.
+                seg.reserve_exact(SEG - seg.len());
+            }
+            seg.push(node);
             idx as u32
         };
         Key { at, seq, idx }
+    }
+
+    #[inline]
+    fn node(&self, idx: u32) -> &Node<T> {
+        &self.slab[(idx >> SEG_BITS) as usize][(idx & SEG_MASK) as usize]
+    }
+
+    #[inline]
+    fn node_mut(&mut self, idx: u32) -> &mut Node<T> {
+        &mut self.slab[(idx >> SEG_BITS) as usize][(idx & SEG_MASK) as usize]
     }
 
     /// Link a node whose near slot `ns` is past the staging frontier and
@@ -253,9 +290,9 @@ impl<T> TimerWheel<T> {
             let slot = (cs & COARSE_MASK) as usize;
             (&mut self.coarse[slot], &mut self.coarse_bits, slot)
         };
-        self.slab[key.idx as usize].next = *head;
-        *head = key.idx;
+        let head = std::mem::replace(head, key.idx);
         bits.set(slot);
+        self.node_mut(key.idx).next = head;
     }
 
     /// Remove and return the earliest event.
@@ -296,9 +333,10 @@ impl<T> TimerWheel<T> {
     #[inline]
     fn take_head(&mut self) -> Option<(SimTime, u64, T)> {
         let key = self.staging.pop()?;
-        let cell = &mut self.slab[key.idx as usize];
+        let free = self.free;
+        let cell = self.node_mut(key.idx);
         let item = cell.item.take().expect("staged key names a live node");
-        cell.next = self.free;
+        cell.next = free;
         self.free = key.idx;
         self.len -= 1;
         Some((SimTime(key.at), key.seq, item))
@@ -319,7 +357,7 @@ impl<T> TimerWheel<T> {
     /// Route every node of the detached slot list starting at `idx`.
     fn route_list(&mut self, mut idx: u32) {
         while idx != NIL {
-            let node = &self.slab[idx as usize];
+            let node = self.node(idx);
             let key = Key {
                 at: node.at,
                 seq: node.seq,
@@ -583,14 +621,53 @@ mod tests {
             }
         }
         assert!(peak <= POPULATION);
-        // Worst case: the slab at twice the peak (`Vec` doubling) plus
-        // staging and the far heap each at twice the peak in 24-byte keys.
+        // Worst case: the slab at the peak rounded up to whole segments,
+        // plus staging and the far heap each at twice the peak (`Vec`
+        // doubling) in 24-byte keys.
         let heads = ((NEAR_SLOTS + COARSE_SLOTS) * std::mem::size_of::<u32>()) as u64;
-        let bound = (4 * peak * std::mem::size_of::<Node<Payload>>()) as u64 + heads;
+        let bound = (4 * peak * TimerWheel::<Payload>::NODE_BYTES) as u64 + heads;
         assert!(
             w.queue_bytes() <= bound,
             "{} B retained for a peak of {peak} events (bound {bound} B)",
             w.queue_bytes()
         );
+    }
+
+    #[test]
+    fn slab_grows_by_whole_segments_and_clones_across_them() {
+        // 3 segments and 5 nodes: a clone's partial last segment must grow
+        // back to one segment, not double, and both copies pop alike.
+        let n = 3 * SEG + 5;
+        let mut w = TimerWheel::new();
+        for i in 0..n as u64 {
+            w.push(SimTime((i * 7_919) % 50_000_000), i, i as u32);
+        }
+        let mut fork = w.clone();
+        for i in n as u64..(n + SEG) as u64 {
+            w.push(SimTime(60_000_000), i, i as u32);
+            fork.push(SimTime(60_000_000), i, i as u32);
+        }
+        let nodes = |w: &TimerWheel<u32>| w.slab.iter().map(Vec::capacity).sum::<usize>();
+        assert_eq!(nodes(&w), 5 * SEG);
+        assert_eq!(nodes(&fork), 5 * SEG);
+        assert_eq!(drain(&mut w), drain(&mut fork));
+    }
+
+    #[test]
+    fn a_node_adds_at_most_24_bytes_to_an_engine_event() {
+        // Time, sequence number and link: 20 bytes, padded to 24. The
+        // `Option` around the item takes the event enum's niche, so a
+        // queued event costs its own size plus 24, for any message size.
+        use crate::state::Ev;
+        fn extra<M, C>() -> usize {
+            TimerWheel::<Ev<M, C>>::NODE_BYTES - std::mem::size_of::<Ev<M, C>>()
+        }
+        assert!(extra::<u32, u32>() <= 24, "{}", extra::<u32, u32>());
+        assert!(
+            extra::<[u64; 10], u64>() <= 24,
+            "{}",
+            extra::<[u64; 10], u64>()
+        );
+        assert!(extra::<Box<[u8]>, Vec<u8>>() <= 24);
     }
 }
