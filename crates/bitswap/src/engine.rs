@@ -1,4 +1,4 @@
-//! The Bitswap engine: fetch sessions, one want table, per-peer ledgers.
+//! The Bitswap engine: fetch sessions and one want table.
 //!
 //! Sans-io. The owner feeds in messages and pulls out `(peer, message)`
 //! sends. Content retrieval starts with a 1-hop `WantHave` broadcast to all
@@ -19,9 +19,7 @@
 //! inline and only further ones in a `Vec`. A fetch's broadcast registers
 //! and, when the fetch ends, cancels a want at every neighbour, and at a
 //! neighbour that is usually the CID's only wanter: one map insert and one
-//! map removal, no allocation, nothing per peer. A [`Ledger`] is only the
-//! go-bitswap block/byte account and exists only for peers a block was
-//! actually exchanged with.
+//! map removal, no allocation, nothing per peer.
 
 use crate::messages::{BitswapMessage, Block, WantEntry, WantType};
 use crate::store::MemoryBlockstore;
@@ -29,19 +27,6 @@ use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, PeerId};
 use simnet::SimTime;
 use std::collections::hash_map::Entry;
-
-/// Per-peer block accounting, as in the go-bitswap ledger.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Ledger {
-    /// Blocks sent to this peer.
-    pub blocks_sent: u64,
-    /// Blocks received from this peer.
-    pub blocks_received: u64,
-    /// Bytes sent.
-    pub bytes_sent: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
-}
 
 /// State of one content fetch.
 #[derive(Clone, Debug)]
@@ -143,7 +128,6 @@ impl Wanters {
 #[derive(Clone, Debug, Default)]
 pub struct Bitswap {
     sessions: HashMap<Cid, FetchSession>,
-    ledgers: HashMap<PeerId, Ledger>,
     /// Other peers' registered wants for blocks we lack — the only record
     /// of them. A CID holds one or two wanters in practice, so membership
     /// is a scan.
@@ -156,11 +140,6 @@ impl Bitswap {
         Bitswap::default()
     }
 
-    /// Block/byte account of a peer, if a block was exchanged with it.
-    pub fn ledger(&self, peer: &PeerId) -> Option<&Ledger> {
-        self.ledgers.get(peer)
-    }
-
     /// Fetch session for `cid`, finished ones included.
     pub fn session(&self, cid: &Cid) -> Option<&FetchSession> {
         self.sessions.get(cid)
@@ -171,14 +150,8 @@ impl Bitswap {
         self.sessions.get(cid).map(|s| !s.done).unwrap_or(false)
     }
 
-    /// Number of ledgers (distinct peers blocks were exchanged with).
-    pub fn peer_count(&self) -> usize {
-        self.ledgers.len()
-    }
-
     /// The wants `peer` has registered with us, in no particular order
-    /// (a scan of the whole table: for tests and the connection-manager
-    /// sweep, not for the message path).
+    /// (a scan of the whole table: for tests, not for the message path).
     pub fn wants_of(&self, peer: &PeerId) -> impl Iterator<Item = (Cid, WantType)> + '_ {
         let peer = *peer;
         self.wants.iter().filter_map(move |(cid, wanters)| {
@@ -239,33 +212,10 @@ impl Bitswap {
         out
     }
 
-    /// Forget a disconnected peer's wants (keep its ledger).
+    /// Forget a disconnected peer's wants, so that a block arriving later
+    /// is not served to it.
     pub fn peer_disconnected(&mut self, peer: &PeerId) {
         self.wants.retain(|_, wanters| wanters.remove(peer));
-    }
-
-    /// Drop a peer entirely: its wants *and* its ledger. Where
-    /// [`Bitswap::peer_disconnected`] keeps the counters for a peer that
-    /// may reconnect, this is the full-removal path the owner uses to
-    /// bound ledger memory. Purging the wants here is what keeps a later
-    /// block receipt from trying to serve the gone peer.
-    pub fn forget_peer(&mut self, peer: &PeerId) {
-        self.ledgers.remove(peer);
-        self.peer_disconnected(peer);
-    }
-
-    /// Peers with a ledger but no outstanding wants that are not in `keep`
-    /// — the candidates a periodic connection-manager sweep feeds to
-    /// [`Bitswap::forget_peer`]. Sorted for deterministic iteration.
-    pub fn prunable_peers(&self, keep: impl Fn(&PeerId) -> bool) -> Vec<PeerId> {
-        let mut out: Vec<PeerId> = self
-            .ledgers
-            .keys()
-            .filter(|p| !keep(p) && self.wants_of(p).next().is_none())
-            .copied()
-            .collect();
-        out.sort();
-        out
     }
 
     /// Debugging/test oracle: panic if a CID's wanters name a peer twice
@@ -329,12 +279,7 @@ impl Bitswap {
             }
             match (store.get(&e.cid), e.ty) {
                 (Some(_), WantType::Have) => have.push(e.cid),
-                (Some(b), WantType::Block) => {
-                    blocks.push(b);
-                    let ledger = self.ledgers.entry(from).or_default();
-                    ledger.blocks_sent += 1;
-                    ledger.bytes_sent += b.size as u64;
-                }
+                (Some(b), WantType::Block) => blocks.push(b),
                 (None, ty) => {
                     if e.send_dont_have {
                         dont_have.push(e.cid);
@@ -365,13 +310,6 @@ impl Bitswap {
         store: &mut MemoryBlockstore,
     ) -> BsOutput {
         let mut out = BsOutput::default();
-        if !blocks.is_empty() {
-            let ledger = self.ledgers.entry(from).or_default();
-            for b in &blocks {
-                ledger.blocks_received += 1;
-                ledger.bytes_received += b.size as u64;
-            }
-        }
         for b in blocks {
             store.put(b);
             // Complete our own fetch, cancelling elsewhere.
@@ -401,7 +339,7 @@ impl Bitswap {
                 if first.0 == from {
                     Some(first)
                 } else {
-                    self.serve(&mut out, first, b);
+                    serve(&mut out, first, b);
                     None
                 }
             } else {
@@ -410,7 +348,7 @@ impl Bitswap {
                 let own = own.map(|at| more.swap_remove(at));
                 more.sort_by_key(|(p, _)| *p);
                 for want in more.drain(..) {
-                    self.serve(&mut out, want, b);
+                    serve(&mut out, want, b);
                 }
                 own
             };
@@ -419,25 +357,6 @@ impl Bitswap {
             }
         }
         out
-    }
-
-    /// Answer a registered want now that block `b` is here.
-    fn serve(&mut self, out: &mut BsOutput, (peer, ty): (PeerId, WantType), b: Block) {
-        match ty {
-            WantType::Block => {
-                let ledger = self.ledgers.entry(peer).or_default();
-                ledger.blocks_sent += 1;
-                ledger.bytes_sent += b.size as u64;
-                out.push(peer, BitswapMessage::Blocks { blocks: vec![b] });
-            }
-            WantType::Have => out.push(
-                peer,
-                BitswapMessage::Presence {
-                    have: vec![b.cid],
-                    dont_have: vec![],
-                },
-            ),
-        }
     }
 
     fn on_presence(&mut self, from: PeerId, have: Vec<Cid>) -> BsOutput {
@@ -452,6 +371,20 @@ impl Bitswap {
             }
         }
         out
+    }
+}
+
+/// Answer a registered want now that block `b` is here.
+fn serve(out: &mut BsOutput, (peer, ty): (PeerId, WantType), b: Block) {
+    match ty {
+        WantType::Block => out.push(peer, BitswapMessage::Blocks { blocks: vec![b] }),
+        WantType::Have => out.push(
+            peer,
+            BitswapMessage::Presence {
+                have: vec![b.cid],
+                dont_have: vec![],
+            },
+        ),
     }
 }
 
@@ -497,8 +430,7 @@ mod tests {
         let out = a.handle_message(SimTime::ZERO, peer(2), blocks.clone(), &mut store_a);
         assert_eq!(out.received, vec![(c, peer(2))]);
         assert!(store_a.has(&c));
-        assert_eq!(a.ledger(&peer(2)).unwrap().blocks_received, 1);
-        assert_eq!(b.ledger(&peer(1)).unwrap().blocks_sent, 1);
+        assert!(!a.is_fetching(&c));
     }
 
     #[test]
@@ -799,10 +731,9 @@ mod tests {
     }
 
     #[test]
-    fn forget_peer_purges_every_want_bucket() {
-        // Regression: forgetting a peer used to drop only the ledger,
-        // leaving its registered wants behind, so a later block receipt
-        // tried to serve the gone peer.
+    fn peer_disconnected_purges_every_want_bucket() {
+        // A peer that leaves takes its wants in every CID's bucket with it,
+        // so a later block receipt does not try to serve the gone peer.
         let mut a = Bitswap::new();
         let mut store = MemoryBlockstore::new();
         let (c1, c2) = (cid(1), cid(2));
@@ -820,8 +751,7 @@ mod tests {
                 &mut store,
             );
         }
-        a.forget_peer(&peer(2));
-        assert!(a.ledger(&peer(2)).is_none(), "ledger fully discarded");
+        a.peer_disconnected(&peer(2));
         assert!(
             a.wants_of(&peer(2)).next().is_none(),
             "no stale wants remain"
@@ -844,54 +774,9 @@ mod tests {
             .collect();
         assert_eq!(served, vec![peer(3)]);
         a.assert_wants_consistent();
-        // Forgetting an unknown peer is a no-op.
-        a.forget_peer(&peer(42));
+        // Disconnecting an unknown peer is a no-op.
+        a.peer_disconnected(&peer(42));
         a.assert_wants_consistent();
-    }
-
-    #[test]
-    fn prunable_peers_skips_wants_and_kept() {
-        let mut a = Bitswap::new();
-        let mut store = MemoryBlockstore::new();
-        // Blocks were exchanged with peers 2, 3 and 4; peer 2 also has an
-        // outstanding want, peer 9 only a want (so no ledger at all).
-        a.handle_message(
-            SimTime::ZERO,
-            peer(2),
-            BitswapMessage::Wantlist {
-                entries: vec![WantEntry::block(cid(1))],
-                full: false,
-            },
-            &mut store,
-        );
-        a.handle_message(
-            SimTime::ZERO,
-            peer(9),
-            BitswapMessage::Wantlist {
-                entries: vec![WantEntry::have(cid(1))],
-                full: false,
-            },
-            &mut store,
-        );
-        for p in [peer(2), peer(3), peer(4)] {
-            a.handle_message(
-                SimTime::ZERO,
-                p,
-                BitswapMessage::Blocks {
-                    blocks: vec![Block {
-                        cid: cid(9),
-                        size: 4,
-                    }],
-                },
-                &mut store,
-            );
-        }
-        let keep3 = peer(3);
-        assert_eq!(a.prunable_peers(|p| *p == keep3), vec![peer(4)]);
-        a.forget_peer(&peer(4));
-        a.assert_wants_consistent();
-        assert_eq!(a.peer_count(), 2);
-        assert!(a.ledger(&peer(9)).is_none(), "a want alone opens no ledger");
     }
 
     #[test]

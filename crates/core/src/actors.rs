@@ -37,8 +37,6 @@ pub struct Frontend {
     next_req: u64,
     pending: HashMap<u64, (NodeId, u64)>,
     queued: HashMap<NodeId, Vec<(u64, Cid)>>,
-    /// Requests served `(found)` count: (ok, failed).
-    pub served: (u64, u64),
 }
 
 impl Frontend {
@@ -65,7 +63,6 @@ impl Frontend {
                     found: false,
                 },
             );
-            self.served.1 += 1;
             return;
         }
         let backend = self.backends[self.rr % self.backends.len()];
@@ -91,11 +88,6 @@ impl Frontend {
             WireMsg::HttpRequest { req_id, cid } => self.forward(ctx, from, req_id, cid),
             WireMsg::HttpResponse { req_id, found } => {
                 if let Some((client, client_req)) = self.pending.remove(&req_id) {
-                    if found {
-                        self.served.0 += 1;
-                    } else {
-                        self.served.1 += 1;
-                    }
                     ctx.send(
                         client,
                         WireMsg::HttpResponse {
@@ -126,7 +118,6 @@ impl Frontend {
                         found: false,
                     },
                 );
-                self.served.1 += 1;
             }
         }
     }

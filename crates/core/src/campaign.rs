@@ -46,8 +46,9 @@ impl Default for CampaignOptions {
     }
 }
 
-/// Engine dial timeout (the crawler's 3-minute timeout is separate and
-/// implied by RPC timers).
+/// Engine dial timeout. A connected peer that does not answer a query is
+/// given up on after `kademlia::RPC_TIMEOUT` (10 s); the crawl as a whole
+/// waits as long as [`Campaign::crawl`]'s `max_wait`.
 const DIAL_TIMEOUT: Dur = Dur::from_secs(8);
 /// Random message loss.
 const LOSS: f64 = 0.002;

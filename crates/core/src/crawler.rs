@@ -11,13 +11,10 @@
 
 use ipfs_node::WireMsg;
 use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet, PeerId};
-use kademlia::{DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo};
+use kademlia::{DhtBody, DhtMessage, DhtRequest, PeerInfo, RPC_TIMEOUT};
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-
-/// Per-request timeout.
-const RPC_TIMEOUT: Dur = Dur::from_secs(10);
 /// Bucket sweeps stop after this many consecutive queries with no new
 /// peers for the target.
 const EMPTY_STREAK: u32 = 3;
@@ -77,8 +74,8 @@ struct TargetState {
     info: PeerInfo,
     next_cpl: u32,
     empty_streak: u32,
-    outstanding: Option<u64>,
-    new_peers: usize,
+    /// A query to this peer is in flight.
+    outstanding: bool,
     crawlable: bool,
     done: bool,
     edges: Vec<PeerId>,
@@ -215,8 +212,7 @@ impl Crawler {
                 info: info.clone(),
                 next_cpl: 0,
                 empty_streak: 0,
-                outstanding: None,
-                new_peers: 0,
+                outstanding: false,
                 crawlable: false,
                 done: false,
                 edges: Vec::new(),
@@ -248,7 +244,7 @@ impl Crawler {
         let Some(t) = self.targets.get_mut(&peer) else {
             return;
         };
-        if t.done || t.outstanding.is_some() {
+        if t.done || t.outstanding {
             return;
         }
         if t.next_cpl > MAX_CPL || t.empty_streak >= EMPTY_STREAK {
@@ -260,21 +256,17 @@ impl Crawler {
         t.next_cpl += 1;
         let req_id = self.next_req;
         self.next_req += 1;
-        t.outstanding = Some(req_id);
+        t.outstanding = true;
         let endpoint = t.info.endpoint;
-        let msg = DhtMessage {
-            req_id,
-            sender: self.my_info(ctx),
-            sender_is_server: false,
-            body: DhtBody::Request(DhtRequest::FindNode { target: target_key }.into()),
-        };
+        let req = DhtRequest::FindNode { target: target_key };
+        let msg = DhtMessage::request(req_id, self.my_info(ctx), false, req);
         if ctx.send(endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, peer);
             ctx.set_timer(RPC_TIMEOUT, req_id);
         } else {
             // Connection raced shut; retry via dial.
             if let Some(t) = self.targets.get_mut(&peer) {
-                t.outstanding = None;
+                t.outstanding = false;
             }
             if self.dialing.insert(endpoint) {
                 ctx.dial(endpoint);
@@ -331,22 +323,16 @@ impl Crawler {
             }
             WireMsg::Dht(DhtMessage {
                 req_id,
-                sender,
                 body: DhtBody::Response(resp),
                 ..
             }) => {
                 let Some(peer) = self.pending.remove(&req_id) else {
                     return;
                 };
-                let _ = sender;
-                let closer = match resp {
-                    DhtResponse::Nodes { closer } => closer,
-                    DhtResponse::Providers { closer, .. } => closer,
-                    DhtResponse::Pong => vec![],
-                };
-                let mut new_count = 0;
+                let (closer, _) = resp.into_parts();
+                let mut found_new = false;
                 if let Some(t) = self.targets.get_mut(&peer) {
-                    t.outstanding = None;
+                    t.outstanding = false;
                     t.crawlable = true;
                     for info in &closer {
                         t.edges.push(info.id);
@@ -355,16 +341,15 @@ impl Crawler {
                 for info in closer {
                     self.record_addrs(&info);
                     if !self.targets.contains_key(&info.id) {
-                        new_count += 1;
+                        found_new = true;
                         self.add_target(ctx, info);
                     }
                 }
                 if let Some(t) = self.targets.get_mut(&peer) {
-                    if new_count == 0 {
-                        t.empty_streak += 1;
-                    } else {
+                    if found_new {
                         t.empty_streak = 0;
-                        t.new_peers += new_count;
+                    } else {
+                        t.empty_streak += 1;
                     }
                 }
                 self.sweep_next(ctx, peer);
@@ -377,7 +362,7 @@ impl Crawler {
     pub fn handle_timer<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, token: u64) {
         if let Some(peer) = self.pending.remove(&token) {
             if let Some(t) = self.targets.get_mut(&peer) {
-                t.outstanding = None;
+                t.outstanding = false;
                 // One timeout ends this peer's sweep: the paper treats
                 // unresponsive peers as un-crawlable leaves.
                 t.done = true;

@@ -12,7 +12,7 @@ use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, Key256, PeerId};
 use kademlia::{
     DhtBody, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupConfig, LookupKind, PeerInfo,
-    ProviderStore, ProviderStoreConfig, RoutingTable, TableConfig, TrafficClass,
+    ProviderStore, ProviderStoreConfig, RoutingTable, TableConfig, TrafficClass, RPC_TIMEOUT,
 };
 use simnet::{Ctx, Dur, NodeId};
 use std::net::SocketAddrV4;
@@ -35,8 +35,6 @@ pub struct HydraLogEntry {
     pub cid: Option<Cid>,
 }
 
-/// Per-query timeout for proactive lookups.
-const RPC_TIMEOUT: Dur = Dur::from_secs(10);
 /// Cap on concurrently running proactive lookups.
 const MAX_PROACTIVE: usize = 64;
 
@@ -59,10 +57,6 @@ pub struct Hydra {
     bootstrap: Vec<(PeerId, NodeId)>,
     /// The request log.
     pub log: Vec<HydraLogEntry>,
-    /// Cache hits served.
-    pub cache_hits: u64,
-    /// Cache misses (each may trigger a proactive lookup).
-    pub cache_misses: u64,
 }
 
 impl Hydra {
@@ -88,8 +82,6 @@ impl Hydra {
             next_id: 1,
             bootstrap,
             log: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
         }
     }
 
@@ -204,11 +196,7 @@ impl Hydra {
                 let Some((lookup_id, peer)) = self.pending.remove(&m.req_id) else {
                     return;
                 };
-                let (closer, providers) = match resp {
-                    DhtResponse::Nodes { closer } => (closer, vec![]),
-                    DhtResponse::Providers { providers, closer } => (closer, providers),
-                    DhtResponse::Pong => (vec![], vec![]),
-                };
+                let (closer, providers) = resp.into_parts();
                 for info in &closer {
                     self.table.observe(info, ctx.now());
                 }
@@ -261,14 +249,10 @@ impl Hydra {
             DhtRequest::GetProviders { cid } => {
                 let now = ctx.now();
                 let cached = self.cache.get(&cid, now);
-                if cached.is_empty() {
-                    self.cache_misses += 1;
-                    // Proactive cache fill: the amplification behaviour.
-                    if self.lookups.len() < MAX_PROACTIVE {
-                        self.start_proactive(ctx, cid);
-                    }
-                } else {
-                    self.cache_hits += 1;
+                // A miss starts a proactive cache fill: the amplification
+                // behaviour.
+                if cached.is_empty() && self.lookups.len() < MAX_PROACTIVE {
+                    self.start_proactive(ctx, cid);
                 }
                 Some(DhtResponse::Providers {
                     providers: cached,
@@ -355,12 +339,8 @@ impl Hydra {
         let cid = l.cid.expect("proactive lookups carry a cid");
         let req_id = self.next_id;
         self.next_id += 1;
-        let msg = DhtMessage {
-            req_id,
-            sender: self.head_info(ctx, 0),
-            sender_is_server: true,
-            body: DhtBody::Request(DhtRequest::GetProviders { cid }.into()),
-        };
+        let req = DhtRequest::GetProviders { cid };
+        let msg = DhtMessage::request(req_id, self.head_info(ctx, 0), true, req);
         if ctx.send(info.endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, (lookup_id, info.clone()));
             ctx.set_timer(RPC_TIMEOUT, req_id);

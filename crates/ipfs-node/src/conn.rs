@@ -398,15 +398,6 @@ impl IpfsNode {
 
     pub(crate) fn connmgr_tick<C: Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>) {
         self.dht.providers_mut().cleanup(ctx.now());
-        // Drop Bitswap ledgers of peers we are no longer connected to.
-        // Their wants were purged on disconnect; the block counters alone
-        // are pure memory growth under sustained churn. Emits no events,
-        // so this is digest-neutral.
-        let s = &mut self.session;
-        let stale = s.bitswap.prunable_peers(|p| s.conn_by_peer.contains_key(p));
-        for p in &stale {
-            s.bitswap.forget_peer(p);
-        }
         #[cfg(debug_assertions)]
         self.assert_connected_flags();
         if self.cfg.table_entry_ttl > Dur::ZERO {

@@ -12,15 +12,12 @@ use crate::node::{tok, IpfsNode};
 use crate::wire::{NodeEvent, WireMsg};
 use ipfs_types::{Cid, Key256, PeerId};
 use kademlia::{
-    no_addrs, DhtBody, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupKind, PeerInfo,
-    ProviderRecord,
+    no_addrs, DhtBody, DhtMessage, DhtRequest, Lookup, LookupKind, PeerInfo, ProviderRecord,
+    RPC_TIMEOUT,
 };
 use rand::RngExt;
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::fmt::Debug;
-
-/// Per-RPC timeout.
-const RPC_TIMEOUT: Dur = Dur::from_secs(10);
 
 #[derive(Clone, Debug)]
 pub(crate) struct PendingRpc {
@@ -69,12 +66,7 @@ impl IpfsNode {
     ) -> DhtMessage {
         let req_id = self.next_req;
         self.next_req += 1;
-        DhtMessage {
-            req_id,
-            sender: self.my_info(ctx),
-            sender_is_server: self.dht.is_server(),
-            body: DhtBody::Request(req.into()),
-        }
+        DhtMessage::request(req_id, self.my_info(ctx), self.dht.is_server(), req)
     }
 
     pub(crate) fn send_query<C: Debug>(
@@ -303,7 +295,6 @@ impl IpfsNode {
         match msg.body {
             DhtBody::Request(req) => {
                 let req = DhtRequest::from(req);
-                self.dht_requests_served += 1;
                 let (resp, created) =
                     self.dht
                         .handle_request(ctx.now(), &msg.sender, msg.sender_is_server, &req);
@@ -322,13 +313,7 @@ impl IpfsNode {
                 let Some(rpc) = self.session.pending.remove(&msg.req_id) else {
                     return; // late or unsolicited
                 };
-                let (closer, providers) = match resp {
-                    DhtResponse::Nodes { closer } => (closer, vec![]),
-                    DhtResponse::Providers { providers, closer } => (closer, providers),
-                    // A wrong-typed answer still answers: counted as empty,
-                    // the candidate stops `Waiting` and the walk goes on.
-                    DhtResponse::Pong => (vec![], vec![]),
-                };
+                let (closer, providers) = resp.into_parts();
                 // Responders are servers by construction.
                 let created = self.dht.observe_peer(&rpc.peer, true, ctx.now());
                 if let Some(walk) = self.session.walks.get_mut(&rpc.lookup) {

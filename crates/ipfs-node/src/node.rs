@@ -176,8 +176,6 @@ pub struct IpfsNode {
     pub(crate) id: PeerId,
     pub(crate) dht: Dht,
     pub(crate) store: MemoryBlockstore,
-    /// CIDs we published ourselves (always reprovided, survive restarts).
-    published: Vec<Cid>,
     pub(crate) session: Session,
     /// Op ids and request ids, one counter for the node's whole life.
     pub(crate) next_req: u64,
@@ -189,8 +187,6 @@ pub struct IpfsNode {
     pub events: Vec<NodeEvent>,
     /// Bitswap monitor log (when `log_bitswap`).
     pub bitswap_log: Vec<BitswapLogEntry>,
-    /// Count of DHT requests served, by class.
-    pub dht_requests_served: u64,
 }
 
 impl IpfsNode {
@@ -203,13 +199,11 @@ impl IpfsNode {
             id,
             dht: Dht::new(id, DhtConfig::server()),
             store: MemoryBlockstore::new(),
-            published: Vec::new(),
             session: Session::default(),
             next_req: 1,
             epoch: 0,
             events: Vec::new(),
             bitswap_log: Vec::new(),
-            dht_requests_served: 0,
             cfg,
         }
     }
@@ -242,11 +236,6 @@ impl IpfsNode {
     /// Our current relay, if NAT-ed and reserved.
     pub fn relay(&self) -> Option<PeerId> {
         self.session.relay.as_ref().map(|(p, _, _)| *p)
-    }
-
-    /// CIDs we have published.
-    pub fn published(&self) -> &[Cid] {
-        &self.published
     }
 
     /// Number of DHT walks in flight.
@@ -312,7 +301,8 @@ impl IpfsNode {
     }
 
     /// `Actor::on_start`. Connection-bound state dies with the session;
-    /// published content and the blockstore persist (datastore on disk).
+    /// the blockstore, published content included, persists (datastore on
+    /// disk).
     pub fn handle_start<C: Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>) {
         self.epoch = self.epoch.wrapping_add(1);
         // Reachability decides server/client mode unless forced.
@@ -362,7 +352,6 @@ impl IpfsNode {
         self.id = self.keypair.peer_id();
         self.dht = Dht::new(self.id, DhtConfig::server());
         self.store = MemoryBlockstore::new();
-        self.published.clear();
         // Simulate a process restart with the new identity.
         self.handle_start(ctx);
     }
@@ -376,9 +365,6 @@ impl IpfsNode {
             }
             NodeCmd::Publish { cid, size } => {
                 self.store.put(Block { cid, size });
-                if !self.published.contains(&cid) {
-                    self.published.push(cid);
-                }
                 self.start_provide(ctx, cid);
             }
             NodeCmd::Provide { cid } => self.start_provide(ctx, cid),

@@ -765,12 +765,9 @@ impl Stage {
 
     /// A DHT ping from `puppet` speaking as server `id`.
     fn ping_as(&mut self, puppet: NodeId, id: PeerId) {
-        let msg = WireMsg::Dht(kademlia::DhtMessage {
-            req_id: 1,
-            sender: std::sync::Arc::new(peer_at(id, puppet)),
-            sender_is_server: true,
-            body: kademlia::DhtBody::Request(kademlia::DhtRequest::Ping.into()),
-        });
+        let sender = std::sync::Arc::new(peer_at(id, puppet));
+        let ping = kademlia::DhtMessage::request(1, sender, true, kademlia::DhtRequest::Ping);
+        let msg = WireMsg::Dht(ping);
         self.tell(puppet, Script::Say(NODE, msg));
     }
 

@@ -24,7 +24,7 @@ pub use dht::{Dht, DhtConfig, DhtMode};
 pub use lookup::{Lookup, LookupConfig, LookupKind, LookupResult};
 pub use messages::{
     no_addrs, AddrList, DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo, ProviderRecord,
-    TrafficClass, WireRequest,
+    TrafficClass, WireRequest, RPC_TIMEOUT,
 };
 pub use providers::{ProviderStore, ProviderStoreConfig};
 pub use table::{Bucket, Entry, Observed, RoutingTable, TableConfig};

@@ -13,7 +13,12 @@
 //! rare `AddProvider` record instead of holding it inline.
 
 use ipfs_types::{Cid, Key256, Multiaddr, PeerId};
-use simnet::{NodeId, SimTime};
+use simnet::{Dur, NodeId, SimTime};
+use std::sync::Arc;
+
+/// How long a requester waits for an answer before it counts the peer as
+/// failed: go-libp2p-kad-dht's per-RPC timeout, the same for every actor.
+pub const RPC_TIMEOUT: Dur = Dur::from_secs(10);
 
 /// A shared, immutable list of advertised multiaddresses.
 ///
@@ -185,6 +190,19 @@ pub enum DhtResponse {
     },
 }
 
+impl DhtResponse {
+    /// The answer as `(closer, providers)`, what a walk consumes. A `Pong`
+    /// carries neither: a wrong-typed answer still answers, counted as
+    /// empty, so the asked peer stops waiting and the walk goes on.
+    pub fn into_parts(self) -> (Vec<PeerInfo>, Vec<ProviderRecord>) {
+        match self {
+            DhtResponse::Pong => (Vec::new(), Vec::new()),
+            DhtResponse::Nodes { closer } => (closer, Vec::new()),
+            DhtResponse::Providers { providers, closer } => (closer, providers),
+        }
+    }
+}
+
 /// A framed DHT message as delivered by the simulator.
 #[derive(Clone, Debug)]
 pub struct DhtMessage {
@@ -193,11 +211,28 @@ pub struct DhtMessage {
     /// The sender's self-description (identify exchange), shared: a sender
     /// builds it once and every message it sends holds the same
     /// allocation, so a clone is a refcount bump.
-    pub sender: std::sync::Arc<PeerInfo>,
+    pub sender: Arc<PeerInfo>,
     /// Whether the sender runs in DHT server mode.
     pub sender_is_server: bool,
     /// Payload.
     pub body: DhtBody,
+}
+
+impl DhtMessage {
+    /// Frame request `req` from `sender`, converting it to its wire form.
+    pub fn request(
+        req_id: u64,
+        sender: Arc<PeerInfo>,
+        sender_is_server: bool,
+        req: DhtRequest,
+    ) -> DhtMessage {
+        DhtMessage {
+            req_id,
+            sender,
+            sender_is_server,
+            body: DhtBody::Request(req.into()),
+        }
+    }
 }
 
 /// Request or response payload.
@@ -266,6 +301,33 @@ mod tests {
         }
         assert!(std::mem::size_of::<WireRequest>() < std::mem::size_of::<DhtRequest>());
         assert!(std::mem::size_of::<DhtBody>() <= 48);
+    }
+
+    #[test]
+    fn responses_split_into_closer_and_providers() {
+        let info = PeerInfo {
+            id: PeerId::from_seed(1),
+            addrs: no_addrs(),
+            endpoint: NodeId(1),
+        };
+        let record = ProviderRecord {
+            cid: Cid::new_v1(Codec::Raw, b"p"),
+            provider: PeerId::from_seed(2),
+            addrs: no_addrs(),
+            endpoint: NodeId(2),
+            relay_endpoint: None,
+            stored_at: SimTime::ZERO,
+        };
+        assert_eq!(DhtResponse::Pong.into_parts(), (vec![], vec![]));
+        let nodes = DhtResponse::Nodes {
+            closer: vec![info.clone()],
+        };
+        assert_eq!(nodes.into_parts(), (vec![info.clone()], vec![]));
+        let providers = DhtResponse::Providers {
+            providers: vec![record.clone()],
+            closer: vec![info.clone()],
+        };
+        assert_eq!(providers.into_parts(), (vec![info], vec![record]));
     }
 
     #[test]

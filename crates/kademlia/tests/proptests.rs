@@ -83,7 +83,7 @@ impl AlwaysScanStore {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn provider_store_cleanup_matches_always_scanning(
