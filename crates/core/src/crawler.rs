@@ -82,6 +82,22 @@ struct TargetState {
     /// Agent from identify, shared with the message (`None` until then).
     agent: Option<std::sync::Arc<str>>,
     observed_ip: Option<Ipv4Addr>,
+    /// IPv4 addresses the peer was advertised with, by itself or others.
+    seen_ips: HashSet<Ipv4Addr>,
+}
+
+impl TargetState {
+    fn record_addrs(&mut self, info: &PeerInfo) {
+        for a in info.addrs.iter() {
+            if let Some(ip) = a.ip4() {
+                // For circuit addresses this records the relay IP, exactly
+                // like parsing real provider multiaddrs would.
+                if !a.is_circuit() {
+                    self.seen_ips.insert(ip);
+                }
+            }
+        }
+    }
 }
 
 /// Crawler commands (scheduled by the experiment driver).
@@ -110,7 +126,6 @@ pub struct Crawler {
     dialing: HashSet<NodeId>,
     pending: HashMap<u64, PeerId>,
     next_req: u64,
-    seen_addrs: HashMap<PeerId, HashSet<Ipv4Addr>>,
     /// Our info, the sender of every query: built on first use (the
     /// endpoint comes from the context) and shared from then on.
     me: Option<Arc<PeerInfo>>,
@@ -138,7 +153,6 @@ impl Crawler {
             dialing: HashSet::default(),
             pending: HashMap::default(),
             next_req: 1,
-            seen_addrs: HashMap::default(),
             me: None,
             snapshots: Vec::new(),
         }
@@ -182,7 +196,6 @@ impl Crawler {
                 self.by_endpoint.clear();
                 self.dialing.clear();
                 self.pending.clear();
-                self.seen_addrs.clear();
                 for (peer, ep) in seeds {
                     self.add_target(
                         ctx,
@@ -201,42 +214,28 @@ impl Crawler {
         if info.id == self.my_id || self.targets.contains_key(&info.id) {
             return;
         }
-        self.record_addrs(&info);
         self.by_endpoint
             .entry(info.endpoint)
             .or_default()
             .push(info.id);
-        self.targets.insert(
-            info.id,
-            TargetState {
-                info: info.clone(),
-                next_cpl: 0,
-                empty_streak: 0,
-                outstanding: false,
-                crawlable: false,
-                done: false,
-                edges: Vec::new(),
-                agent: None,
-                observed_ip: None,
-            },
-        );
+        let mut t = TargetState {
+            info: info.clone(),
+            next_cpl: 0,
+            empty_streak: 0,
+            outstanding: false,
+            crawlable: false,
+            done: false,
+            edges: Vec::new(),
+            agent: None,
+            observed_ip: None,
+            seen_ips: HashSet::default(),
+        };
+        t.record_addrs(&info);
+        self.targets.insert(info.id, t);
         if ctx.is_connected(info.endpoint) {
             self.sweep_next(ctx, info.id);
         } else if self.dialing.insert(info.endpoint) {
             ctx.dial(info.endpoint);
-        }
-    }
-
-    fn record_addrs(&mut self, info: &PeerInfo) {
-        let set = self.seen_addrs.entry(info.id).or_default();
-        for a in info.addrs.iter() {
-            if let Some(ip) = a.ip4() {
-                // For circuit addresses this records the relay IP, exactly
-                // like parsing real provider multiaddrs would.
-                if !a.is_circuit() {
-                    set.insert(ip);
-                }
-            }
         }
     }
 
@@ -339,8 +338,9 @@ impl Crawler {
                     }
                 }
                 for info in closer {
-                    self.record_addrs(&info);
-                    if !self.targets.contains_key(&info.id) {
+                    if let Some(t) = self.targets.get_mut(&info.id) {
+                        t.record_addrs(&info);
+                    } else {
                         found_new = true;
                         self.add_target(ctx, info);
                     }
@@ -387,12 +387,9 @@ impl Crawler {
         let mut ordered: Vec<(&PeerId, &TargetState)> = self.targets.iter().collect();
         ordered.sort_by_key(|(p, _)| **p);
         for (peer, t) in ordered {
-            let mut ips: HashSet<Ipv4Addr> = self.seen_addrs.get(peer).cloned().unwrap_or_default();
-            if let Some(ip) = t.observed_ip {
-                ips.insert(ip);
-            }
-            let mut ips: Vec<Ipv4Addr> = ips.into_iter().collect();
+            let mut ips: Vec<Ipv4Addr> = t.seen_ips.iter().copied().chain(t.observed_ip).collect();
             ips.sort();
+            ips.dedup();
             peers.push(CrawledPeer {
                 peer: *peer,
                 ips,

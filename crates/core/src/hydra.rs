@@ -11,8 +11,8 @@ use ipfs_node::WireMsg;
 use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, Key256, PeerId};
 use kademlia::{
-    DhtBody, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupConfig, LookupKind, PeerInfo,
-    ProviderStore, ProviderStoreConfig, RoutingTable, TableConfig, TrafficClass, RPC_TIMEOUT,
+    Dht, DhtBody, DhtConfig, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupKind, PeerInfo,
+    ProviderStoreConfig, TrafficClass, RPC_TIMEOUT,
 };
 use simnet::{Ctx, Dur, NodeId};
 use std::net::SocketAddrV4;
@@ -36,7 +36,7 @@ pub struct HydraLogEntry {
 }
 
 /// Cap on concurrently running proactive lookups.
-const MAX_PROACTIVE: usize = 64;
+pub const MAX_PROACTIVE: usize = 64;
 
 /// The Hydra-booster actor.
 #[derive(Clone)]
@@ -48,8 +48,9 @@ pub struct Hydra {
     /// Each head's info, the sender of its DHT messages: built on first
     /// use (the endpoint comes from the context) and shared from then on.
     head_infos: Vec<Arc<PeerInfo>>,
-    table: RoutingTable,
-    cache: ProviderStore,
+    /// The heads' shared routing table and provider-record cache, keyed
+    /// on the first head.
+    dht: Dht,
     lookups: HashMap<u64, Lookup>,
     pending: HashMap<u64, (u64, PeerInfo)>,
     dial_queue: HashMap<NodeId, Vec<(u64, PeerInfo)>>,
@@ -66,16 +67,18 @@ impl Hydra {
         let heads: Vec<PeerId> = (0..netgen::HYDRA_HEADS)
             .map(|i| ipfs_types::Keypair::from_seed(seed_base + i as u64).peer_id())
             .collect();
-        let table = RoutingTable::new(heads[0].key(), TableConfig::default());
+        let cfg = DhtConfig {
+            providers: ProviderStoreConfig {
+                ttl: Dur::from_hours(24),
+                max_per_key: 64,
+            },
+            ..DhtConfig::server()
+        };
         Hydra {
+            dht: Dht::new(heads[0], cfg),
             heads,
             agent: "hydra-booster/0.7".into(),
             head_infos: Vec::new(),
-            table,
-            cache: ProviderStore::new(ProviderStoreConfig {
-                ttl: Dur::from_hours(24),
-                max_per_key: 64,
-            }),
             lookups: HashMap::default(),
             pending: HashMap::default(),
             dial_queue: HashMap::default(),
@@ -88,7 +91,7 @@ impl Hydra {
     /// Actor start: dial bootstrap peers so the table fills.
     pub fn handle_start<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>) {
         for (peer, ep) in self.bootstrap.clone() {
-            self.table.try_insert(
+            self.dht.table_mut().try_insert(
                 PeerInfo {
                     id: peer,
                     addrs: kademlia::no_addrs(),
@@ -198,7 +201,7 @@ impl Hydra {
                 };
                 let (closer, providers) = resp.into_parts();
                 for info in &closer {
-                    self.table.observe(info, ctx.now());
+                    self.dht.observe_peer(info, true, ctx.now());
                 }
                 if let Some(l) = self.lookups.get_mut(&lookup_id) {
                     l.on_response(&peer.id, closer, providers);
@@ -236,36 +239,31 @@ impl Hydra {
         });
         // Only DHT servers belong in routing tables — clients answering
         // nothing must stay invisible (§2).
-        if sender_is_server {
-            self.table.observe(sender, ctx.now());
-        }
+        self.dht.observe_peer(sender, sender_is_server, ctx.now());
 
         let head = self.closest_head(&target.unwrap_or(Key256::ZERO));
-        let reply_body = match req {
+        let reply_body = match &req {
             DhtRequest::Ping => Some(DhtResponse::Pong),
             DhtRequest::FindNode { target } => Some(DhtResponse::Nodes {
-                closer: self.table.closest(&target, 20),
+                closer: self.dht.table().closest(target, 20),
             }),
-            DhtRequest::GetProviders { cid } => {
-                let now = ctx.now();
-                let cached = self.cache.get(&cid, now);
-                // A miss starts a proactive cache fill: the amplification
-                // behaviour.
-                if cached.is_empty() && self.lookups.len() < MAX_PROACTIVE {
-                    self.start_proactive(ctx, cid);
-                }
-                Some(DhtResponse::Providers {
-                    providers: cached,
-                    closer: self.table.closest(&cid.dht_key(), 20),
-                })
-            }
+            DhtRequest::GetProviders { cid } => Some(DhtResponse::Providers {
+                providers: self.dht.providers_mut().get(cid, ctx.now()),
+                closer: self.dht.table().closest(&cid.dht_key(), 20),
+            }),
             DhtRequest::AddProvider { record } => {
                 if record.provider == sender.id {
-                    self.cache.add(record, ctx.now());
+                    self.dht.providers_mut().add(record.clone(), ctx.now());
                 }
                 None
             }
         };
+        // A miss starts a proactive cache fill: the amplification behaviour.
+        if let (Some(DhtResponse::Providers { providers, .. }), Some(cid)) = (&reply_body, cid) {
+            if providers.is_empty() && self.lookups.len() < MAX_PROACTIVE {
+                self.start_proactive(ctx, cid);
+            }
+        }
         if let Some(body) = reply_body {
             let info = self.head_info(ctx, head);
             ctx.send(
@@ -281,19 +279,13 @@ impl Hydra {
     }
 
     fn start_proactive<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, cid: Cid) {
-        let seeds = self.table.closest(&cid.dht_key(), 20);
-        if seeds.is_empty() {
+        if self.dht.table().is_empty() {
             return;
         }
         let id = self.next_id;
         self.next_id += 1;
-        let lookup = Lookup::new(
-            cid.dht_key(),
-            Some(cid),
-            LookupKind::FindProviders { exhaustive: false },
-            LookupConfig::default(),
-            seeds,
-        );
+        let kind = LookupKind::FindProviders { exhaustive: false };
+        let lookup = self.dht.start_lookup(cid.dht_key(), Some(cid), kind);
         self.lookups.insert(id, lookup);
         self.drive_lookup(ctx, id);
     }
@@ -321,7 +313,7 @@ impl Hydra {
                 let result = l.into_result();
                 let now = ctx.now();
                 for rec in result.providers {
-                    self.cache.add(rec, now);
+                    self.dht.providers_mut().add(rec, now);
                 }
             }
         }

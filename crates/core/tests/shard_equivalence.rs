@@ -72,7 +72,7 @@ fn tiny_campaign_replica_bytes_stay_o_nodes() {
 fn tiny_campaign_placement_invariant() {
     let one = fingerprint(ScenarioConfig::tiny(42).with_shards(1), 8);
     assert!(one.1 > 50_000, "campaign actually ran: {one:?}");
-    for shards in [2usize, 4, 7] {
+    for shards in [2usize, 3, 4, 7] {
         let many = fingerprint(ScenarioConfig::tiny(42).with_shards(shards), 8);
         assert_eq!(one, many, "{shards}-shard tiny campaign diverged");
     }

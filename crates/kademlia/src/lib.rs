@@ -8,9 +8,11 @@
 //!
 //! The crate is transport-free. [`Dht`] is the serving half of one node:
 //! routing table, provider store, mode and the answer to each request. A
-//! [`Lookup`] is one walk, owned and driven by whoever started it: the
-//! `ipfs-node` session keeps its node's walks, and `tcsb-core`'s Hydra and
-//! crawler keep their own while speaking the same message types.
+//! [`Lookup`] is one walk, seeded by [`Dht::start_lookup`] and owned and
+//! driven by whoever started it. Both kinds of DHT server in the simulation
+//! keep a `Dht` and their own walks: the `ipfs-node` session, and
+//! `tcsb-core`'s Hydra for all its heads. The crawler keeps no table; it
+//! only speaks the same message types.
 
 #![forbid(unsafe_code)]
 
