@@ -1,11 +1,15 @@
 //! The Hydra-booster actor (§3 "Hydra-booster logs").
 //!
 //! One host machine runs many virtual peer IDs ("heads") that act as DHT
-//! servers sharing a provider-record cache. The paper's modified build logs
+//! servers sharing a routing table and a provider-record cache: one
+//! [`kademlia::Dht`], keyed on the first head, which answers every request
+//! the way go-libp2p-kad-dht's own handlers answer for hydra-booster. What
+//! makes a Hydra a Hydra sits around it: the paper's modified build logs
 //! every incoming request (timestamp, sender peer ID and IP, request class,
-//! target key). Cache misses on `GetProviders` trigger a *proactive lookup*
-//! for the requested CID — the amplification behaviour the paper identifies
-//! as a DoS vector and as the reason Hydras dominate download traffic.
+//! target key), the head closest to the target sends the answer, and cache
+//! misses on `GetProviders` trigger a *proactive lookup* for the requested
+//! CID — the amplification behaviour the paper identifies as a DoS vector
+//! and as the reason Hydras dominate download traffic.
 
 use ipfs_node::WireMsg;
 use ipfs_types::FxHashMap as HashMap;
@@ -237,27 +241,10 @@ impl Hydra {
             target,
             cid,
         });
-        // Only DHT servers belong in routing tables — clients answering
-        // nothing must stay invisible (§2).
-        self.dht.observe_peer(sender, sender_is_server, ctx.now());
-
         let head = self.closest_head(&target.unwrap_or(Key256::ZERO));
-        let reply_body = match &req {
-            DhtRequest::Ping => Some(DhtResponse::Pong),
-            DhtRequest::FindNode { target } => Some(DhtResponse::Nodes {
-                closer: self.dht.table().closest(target, 20),
-            }),
-            DhtRequest::GetProviders { cid } => Some(DhtResponse::Providers {
-                providers: self.dht.providers_mut().get(cid, ctx.now()),
-                closer: self.dht.table().closest(&cid.dht_key(), 20),
-            }),
-            DhtRequest::AddProvider { record } => {
-                if record.provider == sender.id {
-                    self.dht.providers_mut().add(record.clone(), ctx.now());
-                }
-                None
-            }
-        };
+        let (reply_body, _) = self
+            .dht
+            .handle_request(ctx.now(), sender, sender_is_server, &req);
         // A miss starts a proactive cache fill: the amplification behaviour.
         if let (Some(DhtResponse::Providers { providers, .. }), Some(cid)) = (&reply_body, cid) {
             if providers.is_empty() && self.lookups.len() < MAX_PROACTIVE {

@@ -1,6 +1,6 @@
 //! The RPC paths of the Hydra and the crawler, driven by scripted puppets:
-//! the Hydra's proactive walks (cache fill, cap, timeouts) and a crawl
-//! target that never answers.
+//! the Hydra's proactive walks (cache fill, cap, timeouts), what its
+//! answers name, and a crawl target that never answers.
 
 use ipfs_node::WireMsg;
 use ipfs_types::{Cid, PeerId};
@@ -306,6 +306,33 @@ fn hydra_unanswered_query_expires_and_frees_its_walk_slot() {
         panic!("expected Providers");
     };
     assert!(providers.is_empty(), "a late answer entered the cache");
+}
+
+// ----------------------------------------------------------------------
+// Hydra: answers never name the requester
+// ----------------------------------------------------------------------
+
+#[test]
+fn hydra_never_names_the_requester() {
+    let (mut st, _) = Stage::hydra(2);
+    let (asker, other) = (NodeId(1), NodeId(2));
+    let target = puppet_id(asker).key();
+    st.ask(
+        asker,
+        true,
+        [DhtRequest::FindNode { target }, get_providers(1)],
+    );
+    let answers = st.answers(asker);
+    assert_eq!(answers.len(), 2);
+    for answer in answers {
+        let (closer, _) = answer.into_parts();
+        let named: Vec<PeerId> = closer.iter().map(|p| p.id).collect();
+        assert_eq!(
+            named,
+            vec![puppet_id(other)],
+            "the answer names the requester"
+        );
+    }
 }
 
 // ----------------------------------------------------------------------
