@@ -15,14 +15,14 @@ use experiments::{resilience_exp, Scale};
 /// Pinned per-row digests for seed `42 ^ 0xC10D` (the `repro` default
 /// derivation) at tiny scale, in sweep order.
 const GOLDEN: &[(&str, u64)] = &[
-    ("baseline (no exit)", 0xacffbdf87ad6f118),
-    ("25% of cloud peers exit (abrupt)", 0x1b24e2ec2e65df2e),
-    ("50% of cloud peers exit (abrupt)", 0x459b4e68b5243ce0),
-    ("75% of cloud peers exit (abrupt)", 0x248c158473a559fb),
-    ("100% of cloud peers exit (abrupt)", 0xca661f2a0526de8a),
-    ("50% of cloud peers exit (graceful)", 0xfc19127d411cae86),
-    ("all Hydras exit (abrupt)", 0xc33a142937bb0952),
-    ("EU region partitioned (heals at T+6h)", 0xf3bdba211613eea0),
+    ("baseline (no exit)", 0xeba832b3a3ecb93a),
+    ("25% of cloud peers exit (abrupt)", 0xe9d04949bac81f46),
+    ("50% of cloud peers exit (abrupt)", 0x0341f05fba59a8e3),
+    ("75% of cloud peers exit (abrupt)", 0x3caf062fc8e647c1),
+    ("100% of cloud peers exit (abrupt)", 0xc1f4e56989f80a45),
+    ("50% of cloud peers exit (graceful)", 0x774cc36f310cc1cc),
+    ("all Hydras exit (abrupt)", 0xe2516a3185ea084e),
+    ("EU region partitioned (heals at T+6h)", 0x23523a7161891b20),
 ];
 
 #[test]
