@@ -277,12 +277,13 @@ fn hydra_unanswered_query_expires_and_frees_its_walk_slot() {
     let asked = st.sim.now();
     st.ask(client, false, (0..MAX_PROACTIVE as u64).map(get_providers));
     let first = st.requests(server)[0].0;
-    // Just before the queries time out, every slot is still taken.
-    st.sim.run_until(asked + RPC_TIMEOUT * 0.9);
+    // Before the queries time out, every slot is still taken.
+    st.sim.run_until(asked + RPC_TIMEOUT * 0.5);
     st.ask(client, false, [get_providers(1_000)]);
     assert_eq!(st.requests(server).len(), MAX_PROACTIVE);
-    // Each query has failed by now: its walk, left with no peer to ask,
+    // After it, each query has failed: its walk, left with no peer to ask,
     // finished and freed its slot, so a miss starts a walk again.
+    st.sim.run_until(asked + RPC_TIMEOUT * 1.5);
     st.ask(client, false, [get_providers(1_001)]);
     let walk = st.requests(server);
     assert_eq!(walk.len(), MAX_PROACTIVE + 1);

@@ -4,10 +4,10 @@
 //! Still sans-io — the owner (an `ipfs-node` session, or `tcsb-core`'s
 //! Hydra) keeps transport, request IDs, timers and walks:
 //! [`Dht::start_lookup`] hands out a [`Lookup`] seeded from the table, and
-//! the caller keeps and drives it. The
-//! server/client distinction matches §2 of the paper: clients use the
-//! DHT purely as a service and never answer requests, so they are invisible
-//! to crawls; servers form the network's core.
+//! the caller keeps and drives it. The server/client distinction matches
+//! §2 of the paper: clients use the DHT purely as a service and never
+//! answer requests, so they are invisible to crawls; servers form the
+//! network's core.
 
 use crate::lookup::{Lookup, LookupConfig, LookupKind};
 use crate::messages::{DhtRequest, DhtResponse, PeerInfo};
