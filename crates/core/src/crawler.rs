@@ -11,7 +11,7 @@
 
 use ipfs_node::WireMsg;
 use ipfs_types::{FxHashMap as HashMap, FxHashSet as HashSet, PeerId};
-use kademlia::{DhtBody, DhtMessage, DhtRequest, PeerInfo, RPC_TIMEOUT};
+use kademlia::{DhtMessage, DhtRequest, PeerInfo, RPC_TIMEOUT};
 use simnet::{Ctx, Dur, NodeId, SimTime};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -90,8 +90,8 @@ impl TargetState {
     fn record_addrs(&mut self, info: &PeerInfo) {
         for a in info.addrs.iter() {
             if let Some(ip) = a.ip4() {
-                // For circuit addresses this records the relay IP, exactly
-                // like parsing real provider multiaddrs would.
+                // A circuit address names its relay's IP, not the peer's:
+                // it is skipped, so only direct addresses count.
                 if !a.is_circuit() {
                     self.seen_ips.insert(ip);
                 }
@@ -320,11 +320,7 @@ impl Crawler {
                     }
                 }
             }
-            WireMsg::Dht(DhtMessage {
-                req_id,
-                body: DhtBody::Response(resp),
-                ..
-            }) => {
+            WireMsg::Dht(DhtMessage::Response { req_id, resp }) => {
                 let Some(peer) = self.pending.remove(&req_id) else {
                     return;
                 };

@@ -6,16 +6,16 @@
 //! the way go-libp2p-kad-dht's own handlers answer for hydra-booster. What
 //! makes a Hydra a Hydra sits around it: the paper's modified build logs
 //! every incoming request (timestamp, sender peer ID and IP, request class,
-//! target key), the head closest to the target sends the answer, and cache
-//! misses on `GetProviders` trigger a *proactive lookup* for the requested
-//! CID — the amplification behaviour the paper identifies as a DoS vector
-//! and as the reason Hydras dominate download traffic.
+//! target key), and cache misses on `GetProviders` trigger a *proactive
+//! lookup* for the requested CID — the amplification behaviour the paper
+//! identifies as a DoS vector and as the reason Hydras dominate download
+//! traffic.
 
 use ipfs_node::WireMsg;
 use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, Key256, PeerId};
 use kademlia::{
-    Dht, DhtBody, DhtConfig, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupKind, PeerInfo,
+    Dht, DhtConfig, DhtMessage, DhtRequest, DhtResponse, Lookup, LookupKind, PeerInfo,
     ProviderStoreConfig, TrafficClass, RPC_TIMEOUT,
 };
 use simnet::{Ctx, Dur, NodeId};
@@ -49,9 +49,9 @@ pub struct Hydra {
     pub heads: Vec<PeerId>,
     /// Agent string every identify shares.
     agent: Arc<str>,
-    /// Each head's info, the sender of its DHT messages: built on first
+    /// The first head's info, the sender of every query: built on first
     /// use (the endpoint comes from the context) and shared from then on.
-    head_infos: Vec<Arc<PeerInfo>>,
+    me: Option<Arc<PeerInfo>>,
     /// The heads' shared routing table and provider-record cache, keyed
     /// on the first head.
     dht: Dht,
@@ -82,7 +82,7 @@ impl Hydra {
             dht: Dht::new(heads[0], cfg),
             heads,
             agent: "hydra-booster/0.7".into(),
-            head_infos: Vec::new(),
+            me: None,
             lookups: HashMap::default(),
             pending: HashMap::default(),
             dial_queue: HashMap::default(),
@@ -107,36 +107,17 @@ impl Hydra {
         }
     }
 
-    fn head_info<C: std::fmt::Debug>(
-        &mut self,
-        ctx: &Ctx<'_, WireMsg, C>,
-        which: usize,
-    ) -> Arc<PeerInfo> {
-        if self.head_infos.is_empty() {
-            let endpoint = ctx.me();
-            self.head_infos = self
-                .heads
-                .iter()
-                .map(|&id| {
-                    Arc::new(PeerInfo {
-                        id,
-                        addrs: kademlia::no_addrs(),
-                        endpoint,
-                    })
+    fn my_info<C: std::fmt::Debug>(&mut self, ctx: &Ctx<'_, WireMsg, C>) -> Arc<PeerInfo> {
+        let id = self.heads[0];
+        self.me
+            .get_or_insert_with(|| {
+                Arc::new(PeerInfo {
+                    id,
+                    addrs: kademlia::no_addrs(),
+                    endpoint: ctx.me(),
                 })
-                .collect();
-        }
-        self.head_infos[which % self.head_infos.len()].clone()
-    }
-
-    /// Closest head to a key (the head that would own the request).
-    fn closest_head(&self, key: &Key256) -> usize {
-        self.heads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, h)| h.key().distance(key))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+            })
+            .clone()
     }
 
     /// Inbound connection: identify ourselves (first head's identity — the
@@ -190,17 +171,15 @@ impl Hydra {
         let WireMsg::Dht(m) = msg else {
             return; // hydra speaks only the DHT
         };
-        match m.body {
-            DhtBody::Request(req) => self.serve_request(
-                ctx,
-                from,
-                m.req_id,
-                &m.sender,
-                m.sender_is_server,
-                req.into(),
-            ),
-            DhtBody::Response(resp) => {
-                let Some((lookup_id, peer)) = self.pending.remove(&m.req_id) else {
+        match m {
+            DhtMessage::Request {
+                req_id,
+                sender,
+                sender_is_server,
+                req,
+            } => self.serve_request(ctx, from, req_id, &sender, sender_is_server, req.into()),
+            DhtMessage::Response { req_id, resp } => {
+                let Some((lookup_id, peer)) = self.pending.remove(&req_id) else {
                     return;
                 };
                 let (closer, providers) = resp.into_parts();
@@ -241,27 +220,17 @@ impl Hydra {
             target,
             cid,
         });
-        let head = self.closest_head(&target.unwrap_or(Key256::ZERO));
-        let (reply_body, _) = self
+        let (resp, _) = self
             .dht
             .handle_request(ctx.now(), sender, sender_is_server, &req);
         // A miss starts a proactive cache fill: the amplification behaviour.
-        if let (Some(DhtResponse::Providers { providers, .. }), Some(cid)) = (&reply_body, cid) {
+        if let (Some(DhtResponse::Providers { providers, .. }), Some(cid)) = (&resp, cid) {
             if providers.is_empty() && self.lookups.len() < MAX_PROACTIVE {
                 self.start_proactive(ctx, cid);
             }
         }
-        if let Some(body) = reply_body {
-            let info = self.head_info(ctx, head);
-            ctx.send(
-                from,
-                WireMsg::Dht(DhtMessage {
-                    req_id,
-                    sender: info,
-                    sender_is_server: true,
-                    body: DhtBody::Response(body),
-                }),
-            );
+        if let Some(resp) = resp {
+            ctx.send(from, WireMsg::Dht(DhtMessage::Response { req_id, resp }));
         }
     }
 
@@ -315,11 +284,10 @@ impl Hydra {
         let Some(l) = self.lookups.get(&lookup_id) else {
             return;
         };
-        let cid = l.cid.expect("proactive lookups carry a cid");
+        let req = l.request();
         let req_id = self.next_id;
         self.next_id += 1;
-        let req = DhtRequest::GetProviders { cid };
-        let msg = DhtMessage::request(req_id, self.head_info(ctx, 0), true, req);
+        let msg = DhtMessage::request(req_id, self.my_info(ctx), true, req);
         if ctx.send(info.endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, (lookup_id, info.clone()));
             ctx.set_timer(RPC_TIMEOUT, req_id);

@@ -5,8 +5,7 @@
 use ipfs_node::WireMsg;
 use ipfs_types::{Cid, PeerId};
 use kademlia::{
-    DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo, ProviderRecord, WireRequest,
-    RPC_TIMEOUT,
+    DhtMessage, DhtRequest, DhtResponse, PeerInfo, ProviderRecord, WireRequest, RPC_TIMEOUT,
 };
 use simnet::{Ctx, Dur, LatencyModel, NodeId, NodeSetup, Sim, SimConfig, SimTime};
 use std::net::Ipv4Addr;
@@ -157,14 +156,9 @@ impl Stage {
         self.settle();
     }
 
-    /// `puppet`, as a DHT server, answers the request `req_id` it was sent.
-    fn answer(&mut self, puppet: NodeId, req_id: u64, body: DhtResponse) {
-        let msg = DhtMessage {
-            req_id,
-            sender: Arc::new(peer_at(puppet_id(puppet), puppet)),
-            sender_is_server: true,
-            body: DhtBody::Response(body),
-        };
+    /// `puppet` answers the request `req_id` it was sent.
+    fn answer(&mut self, puppet: NodeId, req_id: u64, resp: DhtResponse) {
+        let msg = DhtMessage::Response { req_id, resp };
         self.tell(puppet, Script::Say(UNDER_TEST, WireMsg::Dht(msg)));
     }
 
@@ -178,9 +172,9 @@ impl Stage {
     /// The requests `puppet` was sent, as `(req_id, request)`.
     fn requests(&self, puppet: NodeId) -> Vec<(u64, WireRequest)> {
         let got = self.got(puppet).iter();
-        got.filter_map(|m| match &m.body {
-            DhtBody::Request(req) => Some((m.req_id, req.clone())),
-            DhtBody::Response(_) => None,
+        got.filter_map(|m| match m {
+            DhtMessage::Request { req_id, req, .. } => Some((*req_id, req.clone())),
+            DhtMessage::Response { .. } => None,
         })
         .collect()
     }
@@ -188,9 +182,9 @@ impl Stage {
     /// The answers `puppet` was sent, in order.
     fn answers(&self, puppet: NodeId) -> Vec<DhtResponse> {
         let got = self.got(puppet).iter();
-        got.filter_map(|m| match &m.body {
-            DhtBody::Response(resp) => Some(resp.clone()),
-            DhtBody::Request(_) => None,
+        got.filter_map(|m| match m {
+            DhtMessage::Response { resp, .. } => Some(resp.clone()),
+            DhtMessage::Request { .. } => None,
         })
         .collect()
     }

@@ -230,7 +230,7 @@ impl IpfsNode {
         match action {
             PostDial::LookupQuery { lookup, info } => self.send_query(ctx, lookup, &info),
             PostDial::AddProvider { record } => {
-                let msg = self.dht_request_msg(ctx, DhtRequest::AddProvider { record });
+                let (_, msg) = self.dht_request_msg(ctx, DhtRequest::AddProvider { record });
                 ctx.send(target, WireMsg::Dht(msg));
             }
             PostDial::RequestBlock { cid, peer } => {

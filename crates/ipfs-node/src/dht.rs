@@ -12,8 +12,7 @@ use crate::node::{tok, IpfsNode};
 use crate::wire::{NodeEvent, WireMsg};
 use ipfs_types::{Cid, Key256, PeerId};
 use kademlia::{
-    no_addrs, DhtBody, DhtMessage, DhtRequest, Lookup, LookupKind, PeerInfo, ProviderRecord,
-    RPC_TIMEOUT,
+    no_addrs, DhtMessage, DhtRequest, Lookup, LookupKind, PeerInfo, ProviderRecord, RPC_TIMEOUT,
 };
 use rand::RngExt;
 use simnet::{Ctx, Dur, NodeId, SimTime};
@@ -63,10 +62,11 @@ impl IpfsNode {
         &mut self,
         ctx: &Ctx<'_, WireMsg, C>,
         req: DhtRequest,
-    ) -> DhtMessage {
+    ) -> (u64, DhtMessage) {
         let req_id = self.next_req;
         self.next_req += 1;
-        DhtMessage::request(req_id, self.my_info(ctx), self.dht.is_server(), req)
+        let msg = DhtMessage::request(req_id, self.my_info(ctx), self.dht.is_server(), req);
+        (req_id, msg)
     }
 
     pub(crate) fn send_query<C: Debug>(
@@ -78,14 +78,7 @@ impl IpfsNode {
         let Some(Walk { lookup: l, .. }) = self.session.walks.get(&lookup) else {
             return;
         };
-        let req = match l.kind() {
-            LookupKind::GetClosestPeers => DhtRequest::FindNode { target: l.target },
-            LookupKind::FindProviders { .. } => DhtRequest::GetProviders {
-                cid: l.cid.expect("provider lookup carries cid"),
-            },
-        };
-        let msg = self.dht_request_msg(ctx, req);
-        let req_id = msg.req_id;
+        let (req_id, msg) = self.dht_request_msg(ctx, l.request());
         if ctx.send(info.endpoint, WireMsg::Dht(msg)) {
             let peer = info.clone();
             self.session
@@ -292,25 +285,24 @@ impl IpfsNode {
         from: NodeId,
         msg: DhtMessage,
     ) {
-        match msg.body {
-            DhtBody::Request(req) => {
+        match msg {
+            DhtMessage::Request {
+                req_id,
+                sender,
+                sender_is_server,
+                req,
+            } => {
                 let req = DhtRequest::from(req);
                 let (resp, created) =
                     self.dht
-                        .handle_request(ctx.now(), &msg.sender, msg.sender_is_server, &req);
-                self.flag_created_entry(created, &msg.sender.id);
-                if let Some(body) = resp {
-                    let reply = DhtMessage {
-                        req_id: msg.req_id,
-                        sender: self.my_info(ctx),
-                        sender_is_server: self.dht.is_server(),
-                        body: DhtBody::Response(body),
-                    };
-                    ctx.send(from, WireMsg::Dht(reply));
+                        .handle_request(ctx.now(), &sender, sender_is_server, &req);
+                self.flag_created_entry(created, &sender.id);
+                if let Some(resp) = resp {
+                    ctx.send(from, WireMsg::Dht(DhtMessage::Response { req_id, resp }));
                 }
             }
-            DhtBody::Response(resp) => {
-                let Some(rpc) = self.session.pending.remove(&msg.req_id) else {
+            DhtMessage::Response { req_id, resp } => {
+                let Some(rpc) = self.session.pending.remove(&req_id) else {
                     return; // late or unsolicited
                 };
                 let (closer, providers) = resp.into_parts();

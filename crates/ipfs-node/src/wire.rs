@@ -186,15 +186,15 @@ mod tests {
 
     #[test]
     fn bitswap_frames_do_not_grow_the_wire_message() {
-        // Every queued event carries a `WireMsg` by value. The DHT message
+        // Every queued event carries a `WireMsg` by value. A DHT request
         // holds its sender behind an `Arc` and boxes the rare
-        // `AddProvider` record, so the Bitswap frame with its sender id is
-        // now the largest payload (80 B). A frame or a DHT message that
-        // grew past these bounds would make every event of every workload
-        // larger.
+        // `AddProvider` record, and a response holds no sender, so the DHT
+        // message is 64 B and the Bitswap frame with its sender id is the
+        // largest payload (80 B). A frame or a DHT message that grew past
+        // these bounds would make every event of every workload larger.
         assert!(size_of::<WireMsg>() <= 88, "{} B", size_of::<WireMsg>());
         assert!(
-            size_of::<DhtMessage>() <= 72,
+            size_of::<DhtMessage>() <= 64,
             "{} B",
             size_of::<DhtMessage>()
         );

@@ -6,6 +6,7 @@ use ipfs_types::{Cid, PeerId};
 use kademlia::DhtResponse;
 use simnet::{Dur, LatencyModel, NodeId, NodeSetup, Sim, SimConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn ip(i: u32) -> Ipv4Addr {
     Ipv4Addr::from(0x0a00_0000u32 + i + 1) // 10.x.y.z
@@ -596,8 +597,8 @@ enum Scripted {
     Puppet,
     /// A puppet that also answers Bitswap, as a peer holding no blocks.
     Lacking(Box<Lacking>),
-    /// A puppet that keeps every DHT request it is sent.
-    Listener(Vec<kademlia::DhtMessage>),
+    /// A puppet that keeps the sender of every DHT request it is sent.
+    Listener(Vec<Arc<kademlia::PeerInfo>>),
 }
 
 /// A Bitswap engine over an empty store, speaking as `id`, with a record
@@ -649,14 +650,8 @@ impl simnet::Actor for Scripted {
             Scripted::Puppet => {}
             Scripted::Lacking(l) => l.on_bitswap(ctx, from, m),
             Scripted::Listener(got) => {
-                if let WireMsg::Dht(
-                    m @ kademlia::DhtMessage {
-                        body: kademlia::DhtBody::Request(_),
-                        ..
-                    },
-                ) = m
-                {
-                    got.push(m);
+                if let WireMsg::Dht(kademlia::DhtMessage::Request { sender, .. }) = m {
+                    got.push(sender);
                 }
             }
         }
@@ -765,7 +760,7 @@ impl Stage {
 
     /// A DHT ping from `puppet` speaking as server `id`.
     fn ping_as(&mut self, puppet: NodeId, id: PeerId) {
-        let sender = std::sync::Arc::new(peer_at(id, puppet));
+        let sender = Arc::new(peer_at(id, puppet));
         let ping = kademlia::DhtMessage::request(1, sender, true, kademlia::DhtRequest::Ping);
         let msg = WireMsg::Dht(ping);
         self.tell(puppet, Script::Say(NODE, msg));
@@ -964,22 +959,16 @@ fn session_restart_leaves_nothing_behind() {
 // ----------------------------------------------------------------------
 
 impl Stage {
-    /// `puppet`, speaking as server `id`, answers the node's request
-    /// `req_id` with `closer`, at the node's own endpoint.
-    fn answer_nodes(&mut self, puppet: NodeId, id: PeerId, req_id: u64, closer: PeerId) {
+    /// `puppet` answers the node's request `req_id` with `closer`, at the
+    /// node's own endpoint.
+    fn answer_nodes(&mut self, puppet: NodeId, req_id: u64, closer: PeerId) {
         let closer = vec![peer_at(closer, NODE)];
-        self.answer(puppet, id, req_id, DhtResponse::Nodes { closer });
+        self.answer(puppet, req_id, DhtResponse::Nodes { closer });
     }
 
-    /// `puppet`, speaking as server `id`, answers the node's request
-    /// `req_id` with `body`.
-    fn answer(&mut self, puppet: NodeId, id: PeerId, req_id: u64, body: DhtResponse) {
-        let msg = WireMsg::Dht(kademlia::DhtMessage {
-            req_id,
-            sender: std::sync::Arc::new(peer_at(id, puppet)),
-            sender_is_server: true,
-            body: kademlia::DhtBody::Response(body),
-        });
+    /// `puppet` answers the node's request `req_id` with `resp`.
+    fn answer(&mut self, puppet: NodeId, req_id: u64, resp: DhtResponse) {
+        let msg = WireMsg::Dht(kademlia::DhtMessage::Response { req_id, resp });
         self.tell(puppet, Script::Say(NODE, msg));
     }
 
@@ -1006,7 +995,7 @@ fn responder_echoing_the_requester_does_not_stall_the_walk() {
     // (only) `FindNode` 2.
     st.tell(NODE, Script::Node(NodeCmd::Publish { cid, size: 64 }));
     let me = st.node().peer_id();
-    st.answer_nodes(p, id, 2, me);
+    st.answer_nodes(p, 2, me);
     st.sim.run_for(Dur::from_secs(20));
     assert_eq!(
         st.count_events(|e| matches!(e, NodeEvent::Provided { cid: c, .. } if *c == cid)),
@@ -1025,14 +1014,14 @@ fn previous_identity_at_the_own_endpoint_does_not_stall_bootstrap() {
     st.tell(NODE, Script::Node(NodeCmd::Bootstrap { seeds }));
     // The self-lookup's `FindNode` is request 1; an answer that names
     // nobody new ends it.
-    st.answer_nodes(p, id, 1, id);
+    st.answer_nodes(p, 1, id);
     assert_eq!(st.count_events(|e| *e == NodeEvent::Bootstrapped), 1);
     // New identity, same endpoint: the restart re-dials the seed and
     // walks again (request 2). The seed's table still holds the old
     // identity at this endpoint and hands it back.
     st.tell(NODE, Script::Node(NodeCmd::AdoptIdentity { seed: 77 }));
     assert_ne!(st.node().peer_id(), old);
-    st.answer_nodes(p, id, 2, old);
+    st.answer_nodes(p, 2, old);
     st.sim.run_for(Dur::from_secs(20));
     assert_eq!(
         st.count_events(|e| *e == NodeEvent::Bootstrapped),
@@ -1051,7 +1040,7 @@ fn walk_query_answered_with_pong_counts_as_an_empty_answer() {
     // The provide op takes id 1, its only `FindNode` request 2; a hostile
     // peer answers it with the reply to a `Ping`.
     st.tell(NODE, Script::Node(NodeCmd::Provide { cid }));
-    st.answer(p, id, 2, DhtResponse::Pong);
+    st.answer(p, 2, DhtResponse::Pong);
     // Past the RPC timeout, which finds nothing pending any more.
     st.sim.run_for(Dur::from_secs(20));
     let provided =
@@ -1079,7 +1068,7 @@ fn finished_walk_records_its_telemetry() {
             cid: Cid::from_seed(1),
         }),
     );
-    st.answer_nodes(p, id, 2, id);
+    st.answer_nodes(p, 2, id);
     assert_eq!(st.node().walks_in_flight(), 0);
     let snap = telemetry::snapshot();
     telemetry::set_enabled(false);
@@ -1208,8 +1197,9 @@ impl Stage {
         stage
     }
 
-    /// Every DHT request each listening puppet was sent, by puppet.
-    fn heard(&self) -> Vec<Vec<kademlia::DhtMessage>> {
+    /// The sender of every DHT request each listening puppet was sent, by
+    /// puppet.
+    fn heard(&self) -> Vec<Vec<Arc<kademlia::PeerInfo>>> {
         (1..self.sim.core().node_count() as u32)
             .map(|i| match self.sim.actor(NodeId(i)) {
                 Scripted::Listener(got) => got.clone(),
@@ -1218,8 +1208,9 @@ impl Stage {
             .collect()
     }
 
-    /// The node resolves a fresh CID: the requests it sends for it.
-    fn requests_for(&mut self, cid: Cid) -> Vec<kademlia::DhtMessage> {
+    /// The node resolves a fresh CID: the senders of the requests it sends
+    /// for it.
+    fn requests_for(&mut self, cid: Cid) -> Vec<Arc<kademlia::PeerInfo>> {
         let before: Vec<usize> = self.heard().iter().map(Vec::len).collect();
         self.tell(
             NODE,
@@ -1248,11 +1239,11 @@ fn nat_node_requests_carry_its_circuit_address_while_it_has_a_relay() {
     // No relay yet: nothing to advertise.
     let early = st.heard().concat();
     assert!(!early.is_empty(), "the bootstrap walk queried the puppets");
-    assert!(early.iter().all(|m| m.sender.addrs.is_empty()));
+    assert!(early.iter().all(|m| m.addrs.is_empty()));
     assert!(st
         .requests_for(Cid::from_seed(1))
         .iter()
-        .all(|m| m.sender.addrs.is_empty()));
+        .all(|m| m.addrs.is_empty()));
 
     // The relay grants a reservation: every request now carries the
     // circuit address, and all of them share one sender allocation.
@@ -1264,13 +1255,13 @@ fn nat_node_requests_carry_its_circuit_address_while_it_has_a_relay() {
     let circuit = vec![ipfs_types::Multiaddr::circuit(ip(1), 4001, relay_id, me)];
     let relayed = st.requests_for(Cid::from_seed(2));
     for m in &relayed {
-        assert_eq!(m.sender.addrs.to_vec(), circuit);
-        assert!(std::sync::Arc::ptr_eq(&m.sender, &relayed[0].sender));
+        assert_eq!(m.addrs.to_vec(), circuit);
+        assert!(Arc::ptr_eq(m, &relayed[0]));
     }
 
     // The relay hangs up: the node advertises nothing again.
     st.tell(relay_ep, Script::HangUp(NODE));
     assert_eq!(st.node().relay(), None);
     let after = st.requests_for(Cid::from_seed(3));
-    assert!(after.iter().all(|m| m.sender.addrs.is_empty()), "{after:?}");
+    assert!(after.iter().all(|m| m.addrs.is_empty()), "{after:?}");
 }

@@ -25,7 +25,7 @@ pub mod table;
 pub use dht::{Dht, DhtConfig, DhtMode};
 pub use lookup::{Lookup, LookupConfig, LookupKind, LookupResult};
 pub use messages::{
-    no_addrs, AddrList, DhtBody, DhtMessage, DhtRequest, DhtResponse, PeerInfo, ProviderRecord,
+    no_addrs, AddrList, DhtMessage, DhtRequest, DhtResponse, PeerInfo, ProviderRecord,
     TrafficClass, WireRequest, RPC_TIMEOUT,
 };
 pub use providers::{ProviderStore, ProviderStoreConfig};

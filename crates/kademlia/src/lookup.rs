@@ -11,7 +11,7 @@
 //!   *only* when all resolvers (k closest) have been queried, collecting
 //!   every provider record (§3 "Provider Records", §A ethics discussion).
 
-use crate::messages::{PeerInfo, ProviderRecord};
+use crate::messages::{DhtRequest, PeerInfo, ProviderRecord};
 use ipfs_types::FxHashMap as HashMap;
 use ipfs_types::{Cid, Distance, Key256, PeerId};
 
@@ -128,9 +128,17 @@ impl Lookup {
         l
     }
 
-    /// The lookup kind.
-    pub fn kind(&self) -> LookupKind {
-        self.kind
+    /// The request this walk sends each peer it queries: `FindNode` for
+    /// the target, or `GetProviders` for the CID of a provider walk.
+    pub fn request(&self) -> DhtRequest {
+        match self.kind {
+            LookupKind::GetClosestPeers => DhtRequest::FindNode {
+                target: self.target,
+            },
+            LookupKind::FindProviders { .. } => DhtRequest::GetProviders {
+                cid: self.cid.expect("provider lookup carries cid"),
+            },
+        }
     }
 
     fn add_candidate(&mut self, info: PeerInfo) {

@@ -1,11 +1,12 @@
 //! DHT wire messages.
 //!
 //! Mirrors the go-libp2p-kad-dht RPC surface the paper's tools speak:
-//! `FIND_NODE`, `GET_PROVIDERS`, `ADD_PROVIDER` and `PING`. Each message
+//! `FIND_NODE`, `GET_PROVIDERS`, `ADD_PROVIDER` and `PING`. Each request
 //! carries the sender's [`PeerInfo`] (in the real protocol this arrives via
 //! the identify exchange on connection setup) plus a flag telling whether the
 //! sender operates in DHT *server* mode — only servers are eligible for
-//! routing tables.
+//! routing tables. A response carries only its `req_id` and answer: the
+//! requester knows whom it asked.
 //!
 //! Every queued simulator event holds its message by value, so the framed
 //! [`DhtMessage`] is kept small: the sender's info is one shared
@@ -205,17 +206,28 @@ impl DhtResponse {
 
 /// A framed DHT message as delivered by the simulator.
 #[derive(Clone, Debug)]
-pub struct DhtMessage {
-    /// Request/response correlation id (unique per sender).
-    pub req_id: u64,
-    /// The sender's self-description (identify exchange), shared: a sender
-    /// builds it once and every message it sends holds the same
-    /// allocation, so a clone is a refcount bump.
-    pub sender: Arc<PeerInfo>,
-    /// Whether the sender runs in DHT server mode.
-    pub sender_is_server: bool,
-    /// Payload.
-    pub body: DhtBody,
+pub enum DhtMessage {
+    /// A request expecting a response (except `AddProvider`).
+    Request {
+        /// Request/response correlation id (unique per sender).
+        req_id: u64,
+        /// The sender's self-description (identify exchange), shared: a
+        /// sender builds it once and every request it sends holds the
+        /// same allocation, so a clone is a refcount bump.
+        sender: Arc<PeerInfo>,
+        /// Whether the sender runs in DHT server mode.
+        sender_is_server: bool,
+        /// The request, in its wire form.
+        req: WireRequest,
+    },
+    /// A response to an earlier request. It names no sender: the requester
+    /// matches `req_id` to the peer it asked.
+    Response {
+        /// The `req_id` of the request this answers.
+        req_id: u64,
+        /// The answer.
+        resp: DhtResponse,
+    },
 }
 
 impl DhtMessage {
@@ -226,22 +238,13 @@ impl DhtMessage {
         sender_is_server: bool,
         req: DhtRequest,
     ) -> DhtMessage {
-        DhtMessage {
+        DhtMessage::Request {
             req_id,
             sender,
             sender_is_server,
-            body: DhtBody::Request(req.into()),
+            req: req.into(),
         }
     }
-}
-
-/// Request or response payload.
-#[derive(Clone, Debug)]
-pub enum DhtBody {
-    /// A request expecting a response (except `AddProvider`).
-    Request(WireRequest),
-    /// A response to an earlier request.
-    Response(DhtResponse),
 }
 
 #[cfg(test)]
@@ -300,7 +303,7 @@ mod tests {
             assert_eq!(DhtRequest::from(WireRequest::from(req.clone())), req);
         }
         assert!(std::mem::size_of::<WireRequest>() < std::mem::size_of::<DhtRequest>());
-        assert!(std::mem::size_of::<DhtBody>() <= 48);
+        assert!(std::mem::size_of::<DhtResponse>() <= 48);
     }
 
     #[test]
