@@ -153,10 +153,7 @@ impl Hydra {
             if ok {
                 self.send_query(ctx, lookup_id, &info);
             } else {
-                if let Some(l) = self.lookups.get_mut(&lookup_id) {
-                    l.on_failure(&info.id);
-                }
-                self.drive_lookup(ctx, lookup_id);
+                self.query_failed(ctx, lookup_id, &info.id);
             }
         }
     }
@@ -183,9 +180,8 @@ impl Hydra {
                     return;
                 };
                 let (closer, providers) = resp.into_parts();
-                for info in &closer {
-                    self.dht.observe_peer(info, true, ctx.now());
-                }
+                // Responders are servers by construction.
+                self.dht.observe_peer(&peer, true, ctx.now());
                 if let Some(l) = self.lookups.get_mut(&lookup_id) {
                     l.on_response(&peer.id, closer, providers);
                 }
@@ -291,18 +287,30 @@ impl Hydra {
         if ctx.send(info.endpoint, WireMsg::Dht(msg)) {
             self.pending.insert(req_id, (lookup_id, info.clone()));
             ctx.set_timer(RPC_TIMEOUT, req_id);
-        } else if let Some(l) = self.lookups.get_mut(&lookup_id) {
-            l.on_failure(&info.id);
+        } else {
+            self.query_failed(ctx, lookup_id, &info.id);
         }
+    }
+
+    /// `peer` could not be reached or did not answer: it leaves the routing
+    /// table, and the walk moves on.
+    fn query_failed<C: std::fmt::Debug>(
+        &mut self,
+        ctx: &mut Ctx<'_, WireMsg, C>,
+        lookup_id: u64,
+        peer: &PeerId,
+    ) {
+        self.dht.table_mut().remove(peer);
+        if let Some(l) = self.lookups.get_mut(&lookup_id) {
+            l.on_failure(peer);
+        }
+        self.drive_lookup(ctx, lookup_id);
     }
 
     /// Timer: proactive-lookup RPC timeout (token = req_id).
     pub fn handle_timer<C: std::fmt::Debug>(&mut self, ctx: &mut Ctx<'_, WireMsg, C>, token: u64) {
         if let Some((lookup_id, peer)) = self.pending.remove(&token) {
-            if let Some(l) = self.lookups.get_mut(&lookup_id) {
-                l.on_failure(&peer.id);
-            }
-            self.drive_lookup(ctx, lookup_id);
+            self.query_failed(ctx, lookup_id, &peer.id);
         }
     }
 }

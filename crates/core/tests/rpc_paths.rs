@@ -1,6 +1,7 @@
 //! The RPC paths of the Hydra and the crawler, driven by scripted puppets:
-//! the Hydra's proactive walks (cache fill, cap, timeouts), what its
-//! answers name, and a crawl target that never answers.
+//! the Hydra's proactive walks (cache fill, cap, timeouts, which peers
+//! enter and leave its table), what its answers name, and a crawl target
+//! that never answers.
 
 use ipfs_node::WireMsg;
 use ipfs_types::{Cid, PeerId};
@@ -123,12 +124,14 @@ impl Stage {
     /// A Hydra whose table holds `servers` (puppets 1..=servers, by
     /// bootstrap), and one more puppet after them, connected to the Hydra
     /// and speaking as a DHT client. Returns the stage and that client.
+    /// The puppet after the client is a newcomer: unknown to the Hydra
+    /// and not connected to it.
     fn hydra(servers: u32) -> (Stage, NodeId) {
         let bootstrap = (1..=servers)
             .map(|i| (puppet_id(NodeId(i)), NodeId(i)))
             .collect();
         let hydra = Scripted::Hydra(Box::new(Hydra::new(1_000, bootstrap)));
-        let mut st = Stage::new(hydra, servers + 1);
+        let mut st = Stage::new(hydra, servers + 2);
         let client = NodeId(servers + 1);
         st.tell(client, Script::Dial(UNDER_TEST));
         (st, client)
@@ -177,6 +180,19 @@ impl Stage {
             DhtMessage::Response { .. } => None,
         })
         .collect()
+    }
+
+    /// The peers the Hydra's answer to a `FindNode` from `client` names,
+    /// sorted: what its routing table holds, apart from the client.
+    fn table_seen_by(&mut self, client: NodeId) -> Vec<PeerId> {
+        let target = puppet_id(client).key();
+        self.ask(client, false, [DhtRequest::FindNode { target }]);
+        let Some(DhtResponse::Nodes { closer }) = self.answers(client).pop() else {
+            panic!("expected Nodes");
+        };
+        let mut named: Vec<PeerId> = closer.iter().map(|p| p.id).collect();
+        named.sort();
+        named
     }
 
     /// The answers `puppet` was sent, in order.
@@ -267,7 +283,7 @@ fn hydra_at_the_walk_cap_starts_no_walk_on_a_miss() {
 #[test]
 fn hydra_unanswered_query_expires_and_frees_its_walk_slot() {
     let (mut st, client) = Stage::hydra(1);
-    let server = NodeId(1);
+    let (server, newcomer) = (NodeId(1), NodeId(3));
     let asked = st.sim.now();
     st.ask(client, false, (0..MAX_PROACTIVE as u64).map(get_providers));
     let first = st.requests(server)[0].0;
@@ -275,14 +291,18 @@ fn hydra_unanswered_query_expires_and_frees_its_walk_slot() {
     st.sim.run_until(asked + RPC_TIMEOUT * 0.5);
     st.ask(client, false, [get_providers(1_000)]);
     assert_eq!(st.requests(server).len(), MAX_PROACTIVE);
-    // After it, each query has failed: its walk, left with no peer to ask,
-    // finished and freed its slot, so a miss starts a walk again.
+    // After it, each query has failed: the silent server left the table,
+    // and each walk, left with no peer to ask, finished and freed its
+    // slot. Once a second server joins, a miss walks again, to it.
     st.sim.run_until(asked + RPC_TIMEOUT * 1.5);
+    st.tell(newcomer, Script::Dial(UNDER_TEST));
+    st.ask(newcomer, true, [DhtRequest::Ping]);
     st.ask(client, false, [get_providers(1_001)]);
-    let walk = st.requests(server);
-    assert_eq!(walk.len(), MAX_PROACTIVE + 1);
+    assert_eq!(st.requests(server).len(), MAX_PROACTIVE);
+    let walk = st.requests(newcomer);
+    assert_eq!(walk.len(), 1);
     assert_eq!(
-        walk[MAX_PROACTIVE].1,
+        walk[0].1,
         WireRequest::GetProviders {
             cid: Cid::from_seed(1_001),
         }
@@ -296,11 +316,55 @@ fn hydra_unanswered_query_expires_and_frees_its_walk_slot() {
     };
     st.answer(server, first, body);
     st.ask(client, false, [get_providers(0)]);
-    assert_eq!(st.requests(server).len(), MAX_PROACTIVE + 2);
+    assert_eq!(st.requests(newcomer).len(), 2);
     let Some(DhtResponse::Providers { providers, .. }) = st.answers(client).pop() else {
         panic!("expected Providers");
     };
     assert!(providers.is_empty(), "a late answer entered the cache");
+}
+
+#[test]
+fn hydra_drops_servers_that_leave_its_walk_queries_unanswered() {
+    let (mut st, client) = Stage::hydra(2);
+    let (a, b) = (NodeId(1), NodeId(2));
+    let mut both = vec![puppet_id(a), puppet_id(b)];
+    both.sort();
+    assert_eq!(st.table_seen_by(client), both);
+    // A miss walks to both servers; neither answers before the timeout.
+    let asked = st.sim.now();
+    st.ask(client, false, [get_providers(1)]);
+    assert_eq!((st.requests(a).len(), st.requests(b).len()), (1, 1));
+    st.sim.run_until(asked + RPC_TIMEOUT * 1.5);
+    assert_eq!(st.table_seen_by(client), Vec::<PeerId>::new());
+}
+
+#[test]
+fn hydra_walk_admits_the_responder_not_the_peers_it_names() {
+    let (mut st, client) = Stage::hydra(1);
+    let (server, newcomer) = (NodeId(1), NodeId(3));
+    let named_only = PeerId::from_seed(500);
+    st.ask(client, false, [get_providers(1)]);
+    let walk = st.requests(server);
+    assert_eq!(walk.len(), 1);
+    // The server names the newcomer, and the newcomer names a peer at the
+    // client's endpoint, which never answers.
+    let closer = vec![peer_at(puppet_id(newcomer), newcomer)];
+    let body = DhtResponse::Providers {
+        providers: Vec::new(),
+        closer,
+    };
+    st.answer(server, walk[0].0, body);
+    assert_eq!(st.table_seen_by(client), vec![puppet_id(server)]);
+    let walk = st.requests(newcomer);
+    assert_eq!(walk.len(), 1, "the walk goes on to the named peer");
+    let body = DhtResponse::Providers {
+        providers: Vec::new(),
+        closer: vec![peer_at(named_only, client)],
+    };
+    st.answer(newcomer, walk[0].0, body);
+    let mut want = vec![puppet_id(server), puppet_id(newcomer)];
+    want.sort();
+    assert_eq!(st.table_seen_by(client), want);
 }
 
 // ----------------------------------------------------------------------
