@@ -73,8 +73,12 @@ impl Frontend {
         if ctx.is_connected(backend) {
             ctx.send(backend, WireMsg::HttpRequest { req_id, cid });
         } else {
-            self.queued.entry(backend).or_default().push((req_id, cid));
-            ctx.dial(backend);
+            // One dial per endpoint: later requests wait behind it.
+            let q = self.queued.entry(backend).or_default();
+            if q.is_empty() {
+                ctx.dial(backend);
+            }
+            q.push((req_id, cid));
         }
     }
 
@@ -321,8 +325,12 @@ impl WebUser {
         if ctx.is_connected(frontend) {
             ctx.send(frontend, WireMsg::HttpRequest { req_id, cid });
         } else {
-            self.queued.entry(frontend).or_default().push((req_id, cid));
-            ctx.dial(frontend);
+            // One dial per endpoint: later requests wait behind it.
+            let q = self.queued.entry(frontend).or_default();
+            if q.is_empty() {
+                ctx.dial(frontend);
+            }
+            q.push((req_id, cid));
         }
     }
 
