@@ -15,14 +15,14 @@ use experiments::{resilience_exp, Scale};
 /// Pinned per-row digests for seed `42 ^ 0xC10D` (the `repro` default
 /// derivation) at tiny scale, in sweep order.
 const GOLDEN: &[(&str, u64)] = &[
-    ("baseline (no exit)", 0xeba832b3a3ecb93a),
-    ("25% of cloud peers exit (abrupt)", 0xe9d04949bac81f46),
-    ("50% of cloud peers exit (abrupt)", 0x0341f05fba59a8e3),
-    ("75% of cloud peers exit (abrupt)", 0x3caf062fc8e647c1),
-    ("100% of cloud peers exit (abrupt)", 0xc1f4e56989f80a45),
-    ("50% of cloud peers exit (graceful)", 0x774cc36f310cc1cc),
-    ("all Hydras exit (abrupt)", 0xe2516a3185ea084e),
-    ("EU region partitioned (heals at T+6h)", 0x23523a7161891b20),
+    ("baseline (no exit)", 0x6f38caee25082c5e),
+    ("25% of cloud peers exit (abrupt)", 0xeb130fbb97e6f000),
+    ("50% of cloud peers exit (abrupt)", 0xd9c4b0d7e1ea62fd),
+    ("75% of cloud peers exit (abrupt)", 0xfd225e2a325d3d95),
+    ("100% of cloud peers exit (abrupt)", 0x2eadc3a64bada5c3),
+    ("50% of cloud peers exit (graceful)", 0xe6909e4fc3fc1293),
+    ("all Hydras exit (abrupt)", 0xc59bd3b153c75723),
+    ("EU region partitioned (heals at T+6h)", 0x06f86aecc434287c),
 ];
 
 #[test]
