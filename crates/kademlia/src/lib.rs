@@ -10,9 +10,10 @@
 //! routing table, provider store, mode and the answer to each request. A
 //! [`Lookup`] is one walk, seeded by [`Dht::start_lookup`] and owned and
 //! driven by whoever started it. Both kinds of DHT server in the simulation
-//! keep a `Dht` and their own walks: the `ipfs-node` session, and
-//! `tcsb-core`'s Hydra for all its heads. The crawler keeps no table; it
-//! only speaks the same message types.
+//! keep a `Dht` and walk the same way: the `ipfs-node` session, and
+//! `tcsb-core`'s Hydra for all its heads. A peer that fails a walk's query
+//! leaves the table, and an answer admits its responder only. The crawler
+//! keeps no table. A request carries its sender; an answer carries none.
 
 #![forbid(unsafe_code)]
 
